@@ -5,6 +5,12 @@ octave from C1, hop 2048 at 22,050 Hz), log amplitude, global scalar
 z-normalization with statistics pooled over the training set, and
 10-second windows with 5-second overlap.
 
+The constant-Q transform is the time-domain kernel-matrix form (Brown &
+Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
+in one real ``[Re | Im]`` matrix, so an octave is one real matrix
+product over blocks of frames. Kernels depend on the clip length only
+below the longest kernel (~1.04 s), so one plan serves every longer clip.
+
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
 chord is an additive stack of its pitch classes in octaves 3 and 4 with
@@ -196,26 +202,50 @@ def n_frames(n_samples):
     return n_samples // HOP + 1
 
 
+_Q = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
+# Longest kernel (bin 0); every kernel is the same for clips this long or longer.
+N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
+# Frames gathered per matrix product: bounds the window copy at about
+# 64 * N_MAX * 8 bytes (12 MB) whatever the clip length.
+_CQT_BLOCK = 64
+
 _PLAN_CACHE = {}
 
 
 def _cqt_plan(n_samples):
-    """Per-bin complex kernels and the reflection pad for one clip length."""
-    plan = _PLAN_CACHE.get(n_samples)
+    """Per-octave real kernel matrices and the reflection pad for a clip length.
+
+    Octave o's matrix has shape (n_oct, 48), n_oct being the octave's
+    longest kernel. Column j holds the real part and column 24 + j the
+    imaginary part of bin 24*o + j's kernel, zero-padded and centred at
+    row offset n_oct//2 - n_b//2. Plans are keyed on min(n_samples,
+    N_MAX), since kernel lengths are clamped to the clip length only
+    below N_MAX.
+    """
+    key = min(n_samples, N_MAX)
+    plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    q = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
-    kernels = []
-    for b in range(N_BINS):
-        freq = FMIN * 2.0 ** (b / BINS_PER_OCTAVE)
-        n_b = min(math.ceil(q * SAMPLE_RATE / freq), n_samples)
-        window = np.hanning(n_b) if n_b > 1 else np.ones(1)
-        phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
-        kernels.append((window * phase / n_b, n_b))
-    pad = max(n_b for _, n_b in kernels) // 2 + 1
-    plan = (kernels, pad)
+    matrices = []
+    for lo in range(0, N_BINS, BINS_PER_OCTAVE):
+        kernels = []
+        for b in range(lo, lo + BINS_PER_OCTAVE):
+            freq = FMIN * 2.0 ** (b / BINS_PER_OCTAVE)
+            n_b = min(math.ceil(_Q * SAMPLE_RATE / freq), key)
+            window = np.hanning(n_b) if n_b > 1 else np.ones(1)
+            phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
+            kernels.append(window * phase / n_b)
+        n_oct = max(k.size for k in kernels)
+        matrix = np.zeros((n_oct, 2 * BINS_PER_OCTAVE))
+        for j, k in enumerate(kernels):
+            off = n_oct // 2 - k.size // 2
+            matrix[off:off + k.size, j] = k.real
+            matrix[off:off + k.size, BINS_PER_OCTAVE + j] = k.imag
+        matrices.append(matrix)
+    pad = max(m.shape[0] for m in matrices) // 2 + 1
+    plan = (matrices, pad)
     if len(_PLAN_CACHE) < 64:
-        _PLAN_CACHE[n_samples] = plan
+        _PLAN_CACHE[key] = plan
     return plan
 
 
@@ -225,22 +255,29 @@ def cqt(clip):
     Bin b has center frequency fmin * 2**(b/24) and window length
     min(ceil(Q*sr/f_b), len) under a Hann window, normalized by the
     window length. The signal is reflection-padded so every frame
-    center has a full window.
+    center has a full window. Each octave is one real product of the
+    frames' windows with its ``[Re | Im]`` kernel matrix, taken
+    ``_CQT_BLOCK`` frames at a time; a bin's magnitude is the hypot of
+    its two columns.
     """
     if clip.samples.size < 1:
         raise ValueError("cannot transform an empty clip")
     if clip.sample_rate != SAMPLE_RATE:
         raise UnsupportedRateError(f"sample rate {clip.sample_rate} unsupported, expected {SAMPLE_RATE}")
     x = clip.samples
-    kernels, pad = _cqt_plan(x.size)
+    matrices, pad = _cqt_plan(x.size)
     padded = np.pad(x, pad, mode="reflect")
     frames = n_frames(x.size)
     centers = np.arange(frames) * HOP + pad
     out = np.empty((frames, N_BINS))
-    for b, (kernel, n_b) in enumerate(kernels):
-        starts = centers - n_b // 2
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n_b)[starts]
-        out[:, b] = np.abs(windows @ kernel)
+    for lo, matrix in zip(range(0, N_BINS, BINS_PER_OCTAVE), matrices):
+        n_oct = matrix.shape[0]
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n_oct)
+        starts = centers - n_oct // 2
+        for t in range(0, frames, _CQT_BLOCK):
+            y = windows[starts[t:t + _CQT_BLOCK]] @ matrix
+            out[t:t + _CQT_BLOCK, lo:lo + BINS_PER_OCTAVE] = np.hypot(
+                y[:, :BINS_PER_OCTAVE], y[:, BINS_PER_OCTAVE:])
     return FeatureMatrix(out)
 
 

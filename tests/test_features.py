@@ -1,7 +1,9 @@
 """Audio I/O, constant-Q transform, normalization, and synthesis tests."""
 
 import functools
+import math
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -39,6 +41,31 @@ def tone(freq, seconds=10.0, amp=0.5):
 @functools.lru_cache(maxsize=None)
 def tone_cqt(freq):
     return cqt(tone(freq))
+
+
+def cqt_per_bin(clip):
+    """Reference CQT: one complex kernel product per bin over every frame."""
+    x = clip.samples
+    q = 1.0 / (2.0 ** (1.0 / ft.BINS_PER_OCTAVE) - 1.0)
+    kernels = []
+    for b in range(ft.N_BINS):
+        freq = ft.FMIN * 2.0 ** (b / ft.BINS_PER_OCTAVE)
+        n_b = min(math.ceil(q * SR / freq), x.size)
+        window = np.hanning(n_b) if n_b > 1 else np.ones(1)
+        phase = np.exp(-2j * np.pi * freq / SR * np.arange(n_b))
+        kernels.append((window * phase / n_b, n_b))
+    pad = max(n_b for _, n_b in kernels) // 2 + 1
+    padded = np.pad(x, pad, mode="reflect")
+    centers = np.arange(n_frames(x.size)) * ft.HOP + pad
+    out = np.empty((centers.size, ft.N_BINS))
+    for b, (kernel, n_b) in enumerate(kernels):
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n_b)[centers - n_b // 2]
+        out[:, b] = np.abs(windows @ kernel)
+    return out
+
+
+def max_rel_diff(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 def pitch_class_bins(pc):
@@ -167,6 +194,43 @@ class TestCqt:
     def test_single_sample_clip(self):
         out = cqt(AudioClip(np.array([0.25])))
         assert out.frames == 1
+
+    @pytest.mark.parametrize("freq", [32.7032, 440.0])
+    def test_tone_matches_per_bin_reference(self, freq):
+        clip = tone(freq)
+        assert max_rel_diff(tone_cqt(freq).values, cqt_per_bin(clip)) <= 1e-9
+
+    def test_chord_song_matches_per_bin_reference(self):
+        clip = synth_chord_clip(make_random_progression(5, duration_s=12.0), seed=5)
+        assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
+
+    @pytest.mark.parametrize("samples", [1, 100, 2047, 2048, 2049, 23010, 23011, 23012, 30000])
+    def test_noise_matches_per_bin_reference(self, samples):
+        # Below N_MAX some kernels are clamped to the clip length, so an
+        # octave can mix clamped and unclamped bins.
+        clip = AudioClip(np.random.default_rng(samples).uniform(-0.5, 0.5, samples))
+        assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
+
+    def test_one_plan_for_every_long_clip(self, monkeypatch):
+        assert ft.N_MAX == 23011
+        assert ft._cqt_plan(30_000) is ft._cqt_plan(900_000)
+        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        rng = np.random.default_rng(9)
+        for k in range(20):
+            cqt(AudioClip(rng.uniform(-0.5, 0.5, ft.N_MAX + 1 + 997 * k)))
+        assert len(ft._PLAN_CACHE) == 1
+
+    def test_memory_bounded_on_long_clip(self):
+        # A 45-s clip: copying every frame's window per bin peaked at 264 MB.
+        clip = AudioClip(np.random.default_rng(4).uniform(-0.5, 0.5, int(45.1 * SR)))
+        ft._cqt_plan(clip.samples.size)
+        tracemalloc.start()
+        try:
+            cqt(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
     def test_feature_matrix_shape_checked(self):
         with pytest.raises(ValueError):
