@@ -2,8 +2,10 @@
 
 The chain is: WAV in, constant-Q magnitude spectrogram (144 bins, 24 per
 octave from C1, hop 2048 at 22,050 Hz), log amplitude, global scalar
-z-normalization with statistics pooled over the training set, and
-10-second windows with 5-second overlap.
+z-normalization with statistics pooled over the training set. Training
+cuts clips into 10-second windows with 5-second overlap (``windows``);
+inference does not window, because the model's scan is linear in length
+and runs over a whole song in one pass.
 
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
@@ -36,8 +38,8 @@ N_BINS = 144
 BINS_PER_OCTAVE = 24
 FMIN = 32.7032
 LOG_EPS = 1e-6
-SEGMENT_SECONDS = 10.0
-OVERLAP_SECONDS = 5.0
+WINDOW_FRAMES = 108  # 10 s: n_frames(10 * SAMPLE_RATE)
+WINDOW_STRIDE = 54   # 5 s, so consecutive windows overlap by half
 
 FADE_SECONDS = 0.010
 # Noise sits 40 dB under the 0.5 synthesis peak: 0.5 * 10**(-40/20).
@@ -307,34 +309,23 @@ def znormalize(f, stats):
     return FeatureMatrix(vals, f.hop, f.fmin, f.bins_per_octave)
 
 
-def segment_starts(frames, clip_len_s=SEGMENT_SECONDS, overlap_s=OVERLAP_SECONDS):
-    """Window start frames and the window length, in frames.
+def windows(values, fill=0):
+    """Training windows along the first (frame) axis of ``values``.
 
-    Windows are emitted while start + window <= frames; a clip shorter
-    than one window yields the single start 0 (callers zero-pad).
+    Windows hold WINDOW_FRAMES frames and start every WINDOW_STRIDE
+    frames; the last one ends on the last frame, so every frame lies in
+    some window. A clip shorter than one window gives one window padded
+    with ``fill``.
     """
-    window = n_frames(int(clip_len_s * SAMPLE_RATE))
-    overlap = n_frames(int(overlap_s * SAMPLE_RATE))
-    stride = window - overlap
-    if stride <= 0:
-        raise ValueError("overlap must be shorter than the window")
-    starts = list(range(0, frames - window + 1, stride))
-    if not starts:
-        starts = [0]
-    return starts, window
-
-
-def segment(f, clip_len_s=SEGMENT_SECONDS, overlap_s=OVERLAP_SECONDS):
-    """Slice a feature matrix into fixed windows (zero-padding short clips)."""
-    starts, window = segment_starts(f.frames, clip_len_s, overlap_s)
+    values = np.asarray(values)
+    last = max(len(values) - WINDOW_FRAMES, 0)
     out = []
-    for start in starts:
-        if start + window <= f.frames:
-            vals = f.values[start:start + window]
-        else:
-            vals = np.zeros((window, f.values.shape[1]))
-            vals[:f.frames - start] = f.values[start:]
-        out.append(FeatureMatrix(vals, f.hop, f.fmin, f.bins_per_octave))
+    for start in [*range(0, last, WINDOW_STRIDE), last]:
+        piece = values[start:start + WINDOW_FRAMES]
+        if len(piece) < WINDOW_FRAMES:
+            pad = np.full((WINDOW_FRAMES - len(piece),) + values.shape[1:], fill, values.dtype)
+            piece = np.concatenate([piece, pad])
+        out.append(piece)
     return out
 
 

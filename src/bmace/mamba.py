@@ -48,29 +48,14 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-class OpCounter:
-    """Accumulates the scalar-operation count of instrumented scans."""
-
-    __slots__ = ("total",)
-
-    def __init__(self):
-        self.total = 0
-
-    def add(self, n: int) -> None:
-        self.total += n
-
-
 def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
-                      chunk: int = ASSOC_CHUNK, counter: OpCounter | None = None,
-                      step_ops: int | None = None) -> np.ndarray:
+                      chunk: int = ASSOC_CHUNK) -> np.ndarray:
     """h[t] = a[t] * h[t-1] + b[t] elementwise over trailing axes, h[-1] = 0.
 
     impl="seq" walks time step by step; impl="assoc" runs a chunked
     inclusive scan with the associative combinator inside each chunk and
     combines chunks left to right, which keeps results bit-stable across
-    sequence lengths. The counter (seq only) is bumped once per time step by
-    step_ops (default: the elementwise work of one step), so the recorded
-    total is exactly linear in sequence length.
+    sequence lengths.
     """
     if a.shape != b.shape:
         raise ShapeError(f"linear_recurrence needs equal shapes, got {a.shape} and {b.shape}")
@@ -78,12 +63,9 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
     out = np.empty_like(b)
     if impl == "seq":
         state = np.zeros(b.shape[1:], dtype=b.dtype)
-        per_step = step_ops if step_ops is not None else 2 * state.size
         for t in range(L):
             state = a[t] * state + b[t]
             out[t] = state
-            if counter is not None:
-                counter.add(per_step)
         return out
     if impl != "assoc":
         raise ValueError(f"unknown scan implementation {impl!r}")
@@ -147,8 +129,7 @@ def discretize(delta: Tensor, A: Tensor, B: Tensor) -> tuple[Tensor, Tensor]:
     return Tensor._wrap(abar), Tensor._wrap(bbar)
 
 
-def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str,
-          counter: OpCounter | None = None) -> Tensor:
+def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str) -> Tensor:
     u, delta, B, C = inputs.u, inputs.delta, inputs.B, inputs.C
     L, d = u.shape
     n = B.shape[1]
@@ -160,10 +141,7 @@ def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str,
     abar = np.exp(delta.data[:, :, None] * A.data[None, :, :])
     du = delta.data * u.data
     b_seq = du[:, :, None] * B.data[:, None, :]
-    # Per-step cost, for work-linearity instrumentation: exp+mul for Abar
-    # (9dn), Bbar*u (dn + d), state update (2dn), C.h + D*u (2dn + 2d).
-    step_ops = 14 * d * n + 3 * d
-    h = linear_recurrence(abar, b_seq, impl=impl, counter=counter, step_ops=step_ops)
+    h = linear_recurrence(abar, b_seq, impl=impl)
     y = np.einsum("tdn,tn->td", h, C.data) + D.data[None, :] * u.data
     out = Tensor._wrap(y)
 
@@ -192,10 +170,9 @@ def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str,
     return out
 
 
-def selective_scan_seq(inputs: ScanInputs, A: Tensor, D: Tensor,
-                       counter: OpCounter | None = None) -> Tensor:
+def selective_scan_seq(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
     """Reference sequential evaluation of the selective scan."""
-    return _scan(inputs, A, D, impl="seq", counter=counter)
+    return _scan(inputs, A, D, impl="seq")
 
 
 def selective_scan_assoc(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
@@ -278,7 +255,7 @@ class MambaBlockParams:
 
 
 def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
-                scan_impl: str = "assoc", counter: OpCounter | None = None) -> Tensor:
+                scan_impl: str = "assoc") -> Tensor:
     """One gated selective-scan block, (L, d_model) in and out.
 
     Pipeline: optional time reversal -> RMSNorm -> input projection split
@@ -311,7 +288,7 @@ def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
 
     A = mul(exp(params.A_log), -1.0)
     scan = ScanInputs(u=u, delta=delta, B=B, C=C)
-    y = _scan(scan, A, params.D, impl=scan_impl, counter=counter)
+    y = _scan(scan, A, params.D, impl=scan_impl)
 
     gated = mul(y, silu(gate))
     out = matmul(gated, params.out_proj)

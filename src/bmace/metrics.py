@@ -140,24 +140,27 @@ def _merged_segments(ref, est):
     return out
 
 
-def wcsr(ref, est, kind):
-    """One comparator's recall: (score or None, evaluated duration).
-
-    Score is matched duration over non-skipped duration; when every
-    segment is skipped the score is undefined and reported as None.
-    """
+def _recall(segments, kind):
+    """(matched / non-skipped duration or None, non-skipped duration)."""
     matched = 0.0
     total = 0.0
-    for duration, ref_label, est_label in _merged_segments(ref, est):
+    for duration, ref_label, est_label in segments:
         result = compare(kind, ref_label, est_label)
         if result == SKIPPED:
             continue
         total += duration
         if result == MATCH:
             matched += duration
-    if total == 0.0:
-        return None, 0.0
-    return matched / total, total
+    return (matched / total if total > 0.0 else None), total
+
+
+def wcsr(ref, est, kind):
+    """One comparator's recall: (score or None, evaluated duration).
+
+    Score is matched duration over non-skipped duration; when every
+    segment is skipped the score is undefined and reported as None.
+    """
+    return _recall(_merged_segments(ref, est), kind)
 
 
 @dataclass(frozen=True)
@@ -176,21 +179,9 @@ class EvalResult:
 def evaluate_all(ref, est):
     """Run every comparator over one (reference, estimate) pair."""
     segments = _merged_segments(ref, est)
-    scores = {}
-    durations = {}
-    for kind in COMPARATORS:
-        matched = 0.0
-        total = 0.0
-        for duration, ref_label, est_label in segments:
-            result = compare(kind, ref_label, est_label)
-            if result == SKIPPED:
-                continue
-            total += duration
-            if result == MATCH:
-                matched += duration
-        scores[kind] = (matched / total) if total > 0.0 else None
-        durations[kind] = total
-    return EvalResult(scores, durations)
+    recalls = {kind: _recall(segments, kind) for kind in COMPARATORS}
+    return EvalResult({kind: score for kind, (score, _) in recalls.items()},
+                      {kind: total for kind, (_, total) in recalls.items()})
 
 
 def frames_to_annotation(classes, vocab, hop=2048, sr=22050):

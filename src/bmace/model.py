@@ -31,7 +31,6 @@ from .mamba import (
     BACKWARD,
     FORWARD,
     MambaBlockParams,
-    OpCounter,
     mamba_block,
 )
 from .numerics import (
@@ -216,20 +215,14 @@ def init_model(cfg: ModelConfig, dtype=STANDARD) -> ModelParams:
 # Forward
 
 def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
-            scan_impl: str = "assoc", counter: OpCounter | None = None,
-            force_forward: bool = False) -> Tensor:
-    """Per-frame class logits for one (L, n_bins) feature segment.
-
-    force_forward runs bmace's second block forward in time instead of
-    backward (an ablation hook: it makes bmace coincide with mace-h).
-    """
+            scan_impl: str = "assoc") -> Tensor:
+    """Per-frame class logits for one (L, n_bins) feature sequence."""
     if x.data.ndim != 2 or x.shape[1] != cfg.n_bins:
         raise ShapeError(f"input must be (L, {cfg.n_bins}), got {x.shape}")
     h0 = add_bias(matmul(x, params.fc_in), params.fc_bias)
 
     def run(block, src, direction):
-        return add(src, mamba_block(src, block, direction=direction,
-                                    scan_impl=scan_impl, counter=counter))
+        return add(src, mamba_block(src, block, direction=direction, scan_impl=scan_impl))
 
     if cfg.variant == MACE_V:
         h1 = run(params.block_a, h0, FORWARD)
@@ -239,9 +232,8 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
         feats = concat_features(run(params.block_a, h0, FORWARD),
                                 run(params.block_b, h0, FORWARD))
     else:  # bmace
-        second = FORWARD if force_forward else BACKWARD
         feats = concat_features(run(params.block_a, h0, FORWARD),
-                                run(params.block_b, h0, second))
+                                run(params.block_b, h0, BACKWARD))
     return add_bias(matmul(feats, params.head), params.head_bias)
 
 

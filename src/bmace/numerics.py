@@ -96,10 +96,6 @@ def ones(shape, dtype=HIGH) -> Tensor:
     return Tensor._wrap(np.ones(shape, dtype=dtype))
 
 
-def full(shape, value, dtype=HIGH) -> Tensor:
-    return Tensor._wrap(np.full(shape, value, dtype=dtype))
-
-
 # --------------------------------------------------------------------------
 # Tape
 
@@ -244,10 +240,6 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     return _binary(a, b, "mul", lambda x, y: x * y,
                    lambda x, y: (lambda g: g * y, lambda g: g * x))
-
-
-def neg(a: Tensor) -> Tensor:
-    return mul(a, -1.0)
 
 
 def exp(a: Tensor) -> Tensor:

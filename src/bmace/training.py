@@ -167,23 +167,17 @@ def make_synthetic_corpus(n_clips, vocab, seed, duration_s=10.0):
 
 
 def clip_segments(example, vocab, stats):
-    """Normalized fixed-length windows with aligned targets.
+    """Normalized training windows (``features.windows``) with aligned targets.
 
-    Frames a window gains by zero padding get SKIP targets, so they are
-    invisible to the loss and the accuracy counters.
+    Frames a short clip's window gains by padding get SKIP targets, so
+    they are invisible to the loss and the accuracy counters.
     """
     normalized = ft.znormalize(example.features, stats)
-    frames = normalized.frames
-    full = np.asarray(chords.framewise_targets(example.annotation, frames, vocab),
-                      dtype=np.int64)
-    starts, window = ft.segment_starts(frames)
-    out = []
-    for piece, start in zip(ft.segment(normalized), starts):
-        targets = np.full(window, SKIP, dtype=np.int64)
-        take = min(window, frames - start)
-        targets[:take] = full[start:start + take]
-        out.append((piece.values.astype(np.float32), targets))
-    return out
+    targets = np.asarray(chords.framewise_targets(example.annotation, normalized.frames, vocab),
+                         dtype=np.int64)
+    return [(piece.astype(np.float32), labels)
+            for piece, labels in zip(ft.windows(normalized.values),
+                                     ft.windows(targets, fill=SKIP))]
 
 
 def build_dataset(examples, vocab, stats):
@@ -195,6 +189,14 @@ def build_dataset(examples, vocab, stats):
 
 def _params_from_arrays(named, order):
     return md.params_from_dict({name: Tensor(named[name], dtype=STANDARD) for name in order})
+
+
+def _init_training(model_cfg):
+    """Initial parameters as (name order, named arrays, fresh Adam state)."""
+    params0 = md.init_model(model_cfg, dtype=STANDARD)
+    order = [name for name, _ in params0.named_tensors()]
+    named = {name: np.array(tensor.data) for name, tensor in params0.named_tensors()}
+    return order, named, adam_init(named)
 
 
 def _loss_and_grads(named, order, model_cfg, feats, targets):
@@ -250,10 +252,7 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     train_segments = build_dataset(train_clips, vocab, stats)
     val_segments = build_dataset(val_clips, vocab, stats)
 
-    params0 = md.init_model(model_cfg, dtype=STANDARD)
-    order = [name for name, _ in params0.named_tensors()]
-    named = {name: np.array(tensor.data) for name, tensor in params0.named_tensors()}
-    state = adam_init(named)
+    order, named, state = _init_training(model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
 
     best = {name: arr.copy() for name, arr in named.items()}
@@ -319,10 +318,7 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     toward zero. Stops early once the loss drops under ``stop_below``.
     """
     cfg = train_cfg or TrainConfig()
-    params0 = md.init_model(model_cfg, dtype=STANDARD)
-    order = [name for name, _ in params0.named_tensors()]
-    named = {name: np.array(tensor.data) for name, tensor in params0.named_tensors()}
-    state = adam_init(named)
+    order, named, state = _init_training(model_cfg)
     losses = []
     for _ in range(steps):
         loss_value, grads = _loss_and_grads(named, order, model_cfg, feats, targets)
@@ -336,23 +332,16 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     return _params_from_arrays(named, order), losses
 
 
-def predict_classes(params, model_cfg, stats, feats, scan_impl="assoc"):
+def predict_classes(params, model_cfg, stats, feats):
     """Framewise class ids for one clip's unnormalized log features.
 
-    Windows are predicted independently; on overlap, later windows win.
+    The model runs once over the whole clip: its scan is linear in
+    length, so inference needs no windows, and every frame is predicted
+    with the context of the entire clip.
     """
-    normalized = ft.znormalize(feats, stats)
-    frames = normalized.frames
-    starts, window = ft.segment_starts(frames)
-    out = np.zeros(frames, dtype=np.int64)
-    for piece, start in zip(ft.segment(normalized), starts):
-        x = Tensor(piece.values.astype(np.float32), dtype=STANDARD)
-        pred = md.predict(params, model_cfg, x, scan_impl=scan_impl)
-        take = min(window, frames - start)
-        out[start:start + take] = pred[:take]
-    return out
+    values = ft.znormalize(feats, stats).values.astype(np.float32)
+    return md.predict(params, model_cfg, Tensor(values, dtype=STANDARD))
 
 
-def predict_annotation(params, model_cfg, stats, feats, vocab, scan_impl="assoc"):
-    classes = predict_classes(params, model_cfg, stats, feats, scan_impl=scan_impl)
-    return mt.frames_to_annotation(classes, vocab)
+def predict_annotation(params, model_cfg, stats, feats, vocab):
+    return mt.frames_to_annotation(predict_classes(params, model_cfg, stats, feats), vocab)

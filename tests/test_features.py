@@ -23,9 +23,8 @@ from bmace.features import (
     make_random_progression,
     n_frames,
     read_wav,
-    segment,
-    segment_starts,
     synth_chord_clip,
+    windows,
     write_wav,
     znormalize,
 )
@@ -311,42 +310,43 @@ class TestNormalization:
             NormStats(float("nan"), 1.0)
 
 
+def window_starts(frames):
+    # Window frame indices: the first entry of each window is its start.
+    return [int(w[0]) for w in windows(np.arange(frames))]
+
+
 class TestSegmentation:
     def test_thirty_second_clip(self):
-        # 661,500 samples -> 323 frames; valid starts are 0, 54, 108, 162.
+        # 661,500 samples -> 323 frames; the last window ends on frame 322.
         frames = n_frames(661500)
         assert frames == 323
-        starts, window = segment_starts(frames)
-        assert window == 108
-        assert starts == [0, 54, 108, 162]
+        assert window_starts(frames) == [0, 54, 108, 162, 215]
+        assert all(len(w) == 108 for w in windows(np.arange(frames)))
 
     def test_one_more_frame_admits_a_fifth_window(self):
-        starts, _ = segment_starts(324)
-        assert starts == [0, 54, 108, 162, 216]
+        assert window_starts(324) == [0, 54, 108, 162, 216]
 
     def test_exactly_one_window(self):
-        starts, window = segment_starts(108)
-        assert starts == [0]
-        assert window == 108
+        (piece,) = windows(np.arange(108))
+        assert np.array_equal(piece, np.arange(108))
+
+    def test_every_frame_lies_in_a_window(self):
+        for frames in (1, 107, 108, 109, 161, 162, 163, 250, 323, 1000):
+            covered = np.unique(np.concatenate(windows(np.arange(frames))))
+            assert np.array_equal(covered, np.arange(frames))
 
     def test_short_clip_zero_padded(self):
-        f = FeatureMatrix(np.ones((50, ft.N_BINS)))
-        pieces = segment(f)
+        pieces = windows(np.ones((50, ft.N_BINS)))
         assert len(pieces) == 1
-        assert pieces[0].frames == 108
-        assert np.all(pieces[0].values[:50] == 1.0)
-        assert np.all(pieces[0].values[50:] == 0.0)
+        assert pieces[0].shape == (108, ft.N_BINS)
+        assert np.all(pieces[0][:50] == 1.0)
+        assert np.all(pieces[0][50:] == 0.0)
 
     def test_consecutive_windows_overlap_by_54(self):
         rng = np.random.default_rng(5)
-        f = FeatureMatrix(rng.normal(size=(324, ft.N_BINS)))
-        pieces = segment(f)
+        pieces = windows(rng.normal(size=(324, ft.N_BINS)))
         for left, right in zip(pieces, pieces[1:]):
-            assert np.array_equal(left.values[54:], right.values[:54])
-
-    def test_degenerate_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            segment_starts(108, clip_len_s=10.0, overlap_s=10.0)
+            assert np.array_equal(left[54:], right[:54])
 
 
 class TestSynthesis:

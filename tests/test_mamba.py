@@ -128,17 +128,6 @@ class TestSelectiveScan:
             bound = np.max(np.abs(b_seq)) / (1.0 - abar.data.max())
             assert np.max(np.abs(h)) <= bound + 1e-12
 
-    def test_work_linearity(self):
-        rng = np.random.default_rng(6)
-        counts = {}
-        for L in (4, 8, 64, 128):
-            s, A, D = random_scan_instance(rng, L, 3, 2)
-            counter = mb.OpCounter()
-            mb.selective_scan_seq(s, A, D, counter=counter)
-            counts[L] = counter.total
-        assert counts[8] == 2 * counts[4]
-        assert counts[128] == 2 * counts[64]
-
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             mb.ScanInputs(u=t64([[1.0]]), delta=t64([[0.0]]),

@@ -140,14 +140,6 @@ class TestForward:
         assert np.max(np.abs(outs[md.BMACE] - outs[md.MACE_H])) > 1e-8
         # mace-v has a different head width; shapes alone distinguish it.
 
-    def test_forced_forward_bmace_equals_mace_h_bitwise(self):
-        bcfg = cfg_for(md.BMACE, n_classes=25, **TINY)
-        hcfg = cfg_for(md.MACE_H, n_classes=25, **TINY)
-        params = self._params(bcfg)  # same seed, same shapes for both variants
-        forced = md.forward(params, bcfg, self.x, force_forward=True)
-        plain = md.forward(params, hcfg, self.x)
-        assert np.array_equal(forced.data, plain.data)
-
     def test_bmace_block_swap_symmetry(self):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
         params = self._params(cfg)

@@ -1,6 +1,7 @@
 """Training loop tests: loss oracles, optimizer algebra, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,11 +238,28 @@ class TestClipSegments:
         frames = example.features.frames
         full = np.asarray(chords.framewise_targets(example.annotation, frames,
                                                    chords.MAJMIN_25))
-        starts, window = ft.segment_starts(frames)
+        starts = [int(w[0]) for w in ft.windows(np.arange(frames))]
         assert len(segments) == len(starts)
         for (feats, targets), start in zip(segments, starts):
-            take = min(window, frames - start)
-            assert np.array_equal(targets[:take], full[start:start + take])
+            assert np.array_equal(targets, full[start:start + 108])
+
+    def test_every_frame_of_a_250_frame_clip_trains_with_its_target(self):
+        # 23.2 s -> 250 frames: windows starting every 54 frames alone
+        # would stop at frame 215.
+        example = tr.synth_clip_example(15, chords.MAJMIN_25, duration_s=23.2)
+        frames = example.features.frames
+        assert frames == 250
+        stats = ft.compute_norm_stats([example.features])
+        rows = ft.znormalize(example.features, stats).values.astype(np.float32)
+        frame_of = {row.tobytes(): t for t, row in enumerate(rows)}
+        assert len(frame_of) == frames
+        full = chords.framewise_targets(example.annotation, frames, chords.MAJMIN_25)
+        seen = {}
+        for feats, targets in tr.clip_segments(example, chords.MAJMIN_25, stats):
+            for row, target in zip(feats, targets):
+                seen[frame_of[row.tobytes()]] = int(target)
+        assert sorted(seen) == list(range(frames))
+        assert [seen[t] for t in range(frames)] == list(full)
 
     def test_features_are_normalized_float32(self):
         example = tr.synth_clip_example(14, chords.MAJMIN_25, duration_s=4.0)
@@ -340,6 +358,53 @@ class TestPrediction:
         assert classes.shape == (example.features.frames,)
         assert classes.min() >= 0
         assert classes.max() < 25
+
+    def test_every_frame_gets_a_model_prediction(self):
+        # With class 0 pushed down by 1e3, only frames the model never
+        # ran on could come out as class 0.
+        rng = np.random.default_rng(22)
+        feats = ft.FeatureMatrix(rng.normal(size=(250, 144)))
+        cfg = tiny_config()
+        bias = np.zeros(25)
+        bias[0] = -1e3
+        params = md.init_model(cfg, dtype=STANDARD).map_arrays(
+            lambda name, a: a + bias.astype(a.dtype) if name == "head_bias" else a)
+        classes = tr.predict_classes(params, cfg, ft.NormStats(0.0, 1.0), feats)
+        assert classes.shape == (250,)
+        assert not np.any(classes == 0)
+
+    def test_one_model_pass_per_clip(self, monkeypatch):
+        calls = []
+        forward = md.forward
+
+        def counting_forward(params, cfg, x, **kwargs):
+            calls.append(x.shape[0])
+            return forward(params, cfg, x, **kwargs)
+
+        monkeypatch.setattr(md, "forward", counting_forward)
+        rng = np.random.default_rng(23)
+        feats = ft.FeatureMatrix(rng.normal(size=(250, 144)))
+        cfg = tiny_config()
+        tr.predict_classes(md.init_model(cfg, dtype=STANDARD), cfg,
+                           ft.NormStats(0.0, 1.0), feats)
+        assert calls == [250]
+
+    def test_whole_clip_pass_memory_is_bounded(self):
+        # 486 frames (about 45 s) with the default bmace model. One pass
+        # peaked at 17.7 MB with numpy 2.4.6; the scan holds several
+        # frames x d_inner x n_state arrays, so the peak grows with length.
+        rng = np.random.default_rng(24)
+        feats = ft.FeatureMatrix(rng.normal(size=(486, 144)))
+        cfg = md.ModelConfig(variant=md.BMACE, n_classes=25)
+        params = md.init_model(cfg, dtype=STANDARD)
+        stats = ft.NormStats(0.0, 1.0)
+        tracemalloc.start()
+        try:
+            tr.predict_classes(params, cfg, stats, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
 
     def test_predict_annotation_spans_the_clip(self):
         example = tr.synth_clip_example(21, chords.MAJMIN_25, duration_s=4.0)
