@@ -347,11 +347,11 @@ def cmd_bench(args):
     rng = np.random.default_rng(args.seed)
     # One untimed run absorbs allocator and cache warm-up.
     warm = Tensor(rng.standard_normal((min(lengths), cfg.n_bins)), dtype=STANDARD)
-    md.forward(params, cfg, warm, scan_impl="assoc")
+    md.forward(params, cfg, warm)
     for length in lengths:
         x = Tensor(rng.standard_normal((length, cfg.n_bins)), dtype=STANDARD)
         t0 = time.perf_counter()
-        md.forward(params, cfg, x, scan_impl="assoc")
+        md.forward(params, cfg, x)
         seconds = time.perf_counter() - t0
         print(f"L={length} flops={md.count_flops(cfg, length)} seconds={seconds:.4f}")
     return EXIT_OK

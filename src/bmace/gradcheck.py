@@ -89,7 +89,7 @@ def model_gradcheck(variant: str, seed: int = 0, n_frames: int = 6) -> float:
 
     def loss(ps):
         p = params_from_dict(dict(zip(names, ps)))
-        logits = forward(p, cfg, x, scan_impl="seq")
+        logits = forward(p, cfg, x)
         nll = mul(masked_gather_mean(log_softmax_rows(logits), targets, mask), -1.0)
         # The 1e-3 scale conditions the check, it does not weaken it: central
         # differences carry a noise floor of one ulp of the loss over 2h,

@@ -11,11 +11,14 @@ Bbar[t,c,j] = delta[t,c] * B[t,j] (simplified Euler rule). A is kept
 strictly negative through the A = -exp(A_log) parameterization, so every
 Abar entry lies in (0,1) and the hidden state stays bounded.
 
-Two scan evaluators are provided: a plain sequential loop and a chunked
-associative scan built on the first-order-recurrence combinator
-(a,b) o (a',b') = (a*a', a'*b + b'). They agree to within roundoff and both
-back-propagate through a hand-derived adjoint (itself a reverse-time linear
-recurrence).
+Two scan evaluators are provided. The sequential one ("seq") is what
+training and inference run: one in-place pass over time, with the state
+written over the Bbar*u buffer. The chunked associative scan ("assoc"),
+built on the first-order-recurrence combinator
+(a,b) o (a',b') = (a*a', a'*b + b'), is kept as the reference the
+acceptance gate checks the sequential scan against. They agree to within
+roundoff and both back-propagate through a hand-derived adjoint (itself a
+reverse-time linear recurrence, run by the same evaluator).
 """
 
 from __future__ import annotations
@@ -52,21 +55,21 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
                       chunk: int = ASSOC_CHUNK) -> np.ndarray:
     """h[t] = a[t] * h[t-1] + b[t] elementwise over trailing axes, h[-1] = 0.
 
-    impl="seq" walks time step by step; impl="assoc" runs a chunked
-    inclusive scan with the associative combinator inside each chunk and
-    combines chunks left to right, which keeps results bit-stable across
-    sequence lengths.
+    h overwrites b, which is returned; b may be a view, such as a
+    time-reversed one. impl="seq" walks time once; impl="assoc" runs a
+    chunked inclusive scan with the associative combinator inside each
+    chunk and combines chunks left to right, which keeps results
+    bit-stable across sequence lengths.
     """
     if a.shape != b.shape:
         raise ShapeError(f"linear_recurrence needs equal shapes, got {a.shape} and {b.shape}")
     L = a.shape[0]
-    out = np.empty_like(b)
     if impl == "seq":
-        state = np.zeros(b.shape[1:], dtype=b.dtype)
-        for t in range(L):
-            state = a[t] * state + b[t]
-            out[t] = state
-        return out
+        step = np.empty(b.shape[1:], dtype=b.dtype)
+        for t in range(1, L):
+            np.multiply(a[t], b[t - 1], out=step)
+            b[t] += step
+        return b
     if impl != "assoc":
         raise ValueError(f"unknown scan implementation {impl!r}")
     carry = np.zeros(b.shape[1:], dtype=b.dtype)
@@ -76,17 +79,15 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
         T = a_c.shape[0]
         off = 1
         while off < T:
-            # prefix[t] = prefix[t-off] o prefix[t]
-            new_a = a_c.copy()
-            new_b = b_c.copy()
-            new_a[off:] = a_c[off:] * a_c[:-off]
-            new_b[off:] = a_c[off:] * b_c[:-off] + b_c[off:]
-            a_c, b_c = new_a, new_b
+            # prefix[t] = prefix[t-off] o prefix[t]; b first, it reads the old a.
+            b_c[off:] += a_c[off:] * b_c[:-off]
+            a_c[off:] *= a_c[:-off]
             off <<= 1
-        block = a_c * carry + b_c
-        out[s:s + T] = block
-        carry = block[T - 1]
-    return out
+        a_c *= carry
+        a_c += b_c
+        b[s:s + T] = a_c
+        carry = a_c[T - 1]
+    return b
 
 
 @dataclass(frozen=True)
@@ -114,21 +115,6 @@ class ScanInputs:
         return self.u.shape[0]
 
 
-def discretize(delta: Tensor, A: Tensor, B: Tensor) -> tuple[Tensor, Tensor]:
-    """Continuous (delta, A, B) to per-step (Abar, Bbar), both L x d x n.
-
-    Abar[t,c,j] = exp(delta[t,c] * A[c,j]); Bbar[t,c,j] = delta[t,c] * B[t,j].
-    Analysis helper: not recorded on the tape (scans differentiate end to end).
-    """
-    if delta.data.ndim != 2 or A.data.ndim != 2 or B.data.ndim != 2:
-        raise ShapeError(f"discretize got shapes {delta.shape}, {A.shape}, {B.shape}")
-    if A.shape[0] != delta.shape[1] or B.shape[0] != delta.shape[0] or B.shape[1] != A.shape[1]:
-        raise ShapeError(f"inconsistent dims: delta {delta.shape}, A {A.shape}, B {B.shape}")
-    abar = np.exp(delta.data[:, :, None] * A.data[None, :, :])
-    bbar = delta.data[:, :, None] * B.data[:, None, :]
-    return Tensor._wrap(abar), Tensor._wrap(bbar)
-
-
 def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str) -> Tensor:
     u, delta, B, C = inputs.u, inputs.delta, inputs.B, inputs.C
     L, d = u.shape
@@ -138,31 +124,37 @@ def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str) -> Tensor:
     if D.shape != (d,):
         raise ShapeError(f"D must be ({d},), got {D.shape}")
 
-    abar = np.exp(delta.data[:, :, None] * A.data[None, :, :])
-    du = delta.data * u.data
-    b_seq = du[:, :, None] * B.data[:, None, :]
-    h = linear_recurrence(abar, b_seq, impl=impl)
-    y = np.einsum("tdn,tn->td", h, C.data) + D.data[None, :] * u.data
+    u_d, delta_d, B_d, C_d, A_d, D_d = u.data, delta.data, B.data, C.data, A.data, D.data
+    # Discretize: Abar = exp(delta * A), Bbar * u = delta * u * B. The state
+    # h is written over the Bbar * u buffer.
+    abar = delta_d[:, :, None] * A_d[None, :, :]
+    np.exp(abar, out=abar)
+    du = delta_d * u_d
+    h = du[:, :, None] * B_d[:, None, :]
+    linear_recurrence(abar, h, impl=impl)
+    y = (h @ C_d[:, :, None])[:, :, 0] + D_d[None, :] * u_d
     out = Tensor._wrap(y)
 
-    u_d, delta_d, B_d, C_d, A_d, D_d = u.data, delta.data, B.data, C.data, A.data, D.data
-
     def vjp(gy):
-        # Adjoint of the recurrence: gh[t] = gy[t] x C[t] + Abar[t+1] * gh[t+1],
-        # itself a first-order recurrence run in reverse time.
-        v = gy[:, :, None] * C_d[:, None, :]
-        a_rev = np.zeros_like(abar)
-        a_rev[1:] = abar[::-1][:-1]
-        gh = linear_recurrence(a_rev, v[::-1], impl=impl)[::-1]
-        h_prev = np.zeros_like(h)
-        h_prev[1:] = h[:-1]
-        g_abar = gh * h_prev
-        g_du = np.einsum("tdn,tn->td", gh, B_d)
+        # Adjoint of the recurrence: gh[t] = v[t] + Abar[t+1] * gh[t+1] with
+        # v[t] = gy[t] x C[t]. q[t] = Abar[t] * gh[t] obeys the reverse-time
+        # recurrence q[t] = Abar[t] * q[t+1] + Abar[t] * v[t], whose
+        # coefficients line up with Abar, so it runs on reversed views.
+        gh = gy[:, :, None] * C_d[:, None, :]
+        q = abar * gh
+        linear_recurrence(abar[::-1], q[::-1], impl=impl)
+        gh[:-1] += q[1:]
+        # dLoss/dAbar[t] * Abar[t] = gh[t] * h[t-1] * Abar[t] = q[t] * h[t-1],
+        # zero at t = 0 where h[-1] = 0; shared by gdelta and gA.
+        g_log_abar = q[1:]
+        g_log_abar *= h[:-1]
+        g_du = (gh @ B_d[:, :, None])[:, :, 0]
         gu = g_du * delta_d + gy * D_d[None, :]
-        gdelta = g_du * u_d + (g_abar * abar * A_d[None, :, :]).sum(axis=2)
-        gB = np.einsum("tdn,td->tn", gh, du)
-        gC = np.einsum("td,tdn->tn", gy, h)
-        gA = (g_abar * abar * delta_d[:, :, None]).sum(axis=0)
+        gdelta = g_du * u_d
+        gdelta[1:] += np.einsum("tdn,dn->td", g_log_abar, A_d)
+        gB = (du[:, None, :] @ gh)[:, 0, :]
+        gC = (gy[:, None, :] @ h)[:, 0, :]
+        gA = np.einsum("tdn,td->dn", g_log_abar, delta_d[1:])
         gD = (gy * u_d).sum(axis=0)
         return gu, gdelta, gB, gC, gA, gD
 
@@ -255,7 +247,7 @@ class MambaBlockParams:
 
 
 def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
-                scan_impl: str = "assoc") -> Tensor:
+                scan_impl: str = "seq") -> Tensor:
     """One gated selective-scan block, (L, d_model) in and out.
 
     Pipeline: optional time reversal -> RMSNorm -> input projection split
@@ -263,6 +255,8 @@ def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
     data-dependent (delta, B, C) -> selective scan -> SiLU-gated product ->
     output projection -> undo the reversal. direction="backward" is exactly
     reverse_time(forward(reverse_time(x))) with the same parameters.
+    scan_impl picks the scan evaluator: "seq" runs, "assoc" is the
+    reference it is checked against.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")

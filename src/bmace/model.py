@@ -215,8 +215,13 @@ def init_model(cfg: ModelConfig, dtype=STANDARD) -> ModelParams:
 # Forward
 
 def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
-            scan_impl: str = "assoc") -> Tensor:
-    """Per-frame class logits for one (L, n_bins) feature sequence."""
+            scan_impl: str = "seq") -> Tensor:
+    """Per-frame class logits for one (L, n_bins) feature sequence.
+
+    Training and inference run the sequential scan (``scan_impl="seq"``);
+    ``"assoc"`` is the reference evaluator the acceptance gate compares
+    against.
+    """
     if x.data.ndim != 2 or x.shape[1] != cfg.n_bins:
         raise ShapeError(f"input must be (L, {cfg.n_bins}), got {x.shape}")
     h0 = add_bias(matmul(x, params.fc_in), params.fc_bias)
@@ -237,10 +242,9 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
     return add_bias(matmul(feats, params.head), params.head_bias)
 
 
-def predict(params: ModelParams, cfg: ModelConfig, x: Tensor,
-            scan_impl: str = "assoc") -> np.ndarray:
+def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
     """Per-frame argmax class ids (ties resolve to the smaller id)."""
-    logits = forward(params, cfg, x, scan_impl=scan_impl)
+    logits = forward(params, cfg, x)
     return np.argmax(logits.data, axis=1)
 
 

@@ -1,7 +1,7 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 The operation set is exactly what the chord models need: matrix products,
-depthwise causal convolution, SiLU / softplus / softmax nonlinearities, time
+depthwise causal convolution, SiLU / softplus / log-softmax nonlinearities, time
 reversal, feature concatenation, and a few elementwise and reduction helpers
 for composing losses. Two precision modes are supported: HIGH (float64, used
 by tests and oracles) and STANDARD (float32, used for training).
@@ -195,12 +195,11 @@ def _check_same_dtype(*ts: Tensor) -> np.dtype:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Two-branch form: never exponentiates a positive argument.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # tanh form: one transcendental, no branches, never overflows.
+    out = x * 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -352,19 +351,6 @@ def softplus(x: Tensor) -> Tensor:
     out = Tensor._wrap(_softplus(x.data))
     sig = _sigmoid(x.data)
     record_op(out, (x,), lambda g: (g * sig,))
-    return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, max-subtracted for stability."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor._wrap(y)
-    y_data = out.data
-    record_op(out, (x,), lambda g: (y_data * (g - (g * y_data).sum(axis=1, keepdims=True)),))
     return out
 
 

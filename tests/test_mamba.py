@@ -44,29 +44,14 @@ def random_block_params(rng, d_model, d_inner, n, r, k, scale=0.4):
 
 class TestDiscretize:
     def test_known_value(self):
-        delta = t64([[math.log(2.0)]])
-        A = t64([[-1.0]])
-        B = t64([[1.0]])
-        abar, bbar = mb.discretize(delta, A, B)
-        assert abar.data[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert bbar.data[0, 0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_shapes(self):
-        rng = np.random.default_rng(0)
-        delta = t64(rng.uniform(0.1, 1.0, (7, 3)))
-        A = t64(-rng.uniform(0.1, 2.0, (3, 4)))
-        B = t64(rng.standard_normal((7, 4)))
-        abar, bbar = mb.discretize(delta, A, B)
-        assert abar.shape == (7, 3, 4) and bbar.shape == (7, 3, 4)
-
-    def test_abar_in_unit_interval(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            delta = t64(rng.uniform(1e-4, 5.0, (6, 2)))
-            A = t64(-np.exp(rng.uniform(-3, 2, (2, 3))))
-            B = t64(rng.standard_normal((6, 3)))
-            abar, _ = mb.discretize(delta, A, B)
-            assert np.all(abar.data > 0.0) and np.all(abar.data < 1.0)
+        # delta = ln 2, A = -1, B = C = 1, D = 0, u = [1, 0]: the scan's
+        # discretization gives Bbar = ln 2 and Abar = 1/2, so
+        # y1 = h1 = ln 2 and y2 = h2 = Abar * h1 = (ln 2) / 2.
+        s = mb.ScanInputs(u=t64([[1.0], [0.0]]), delta=t64([[math.log(2.0)]] * 2),
+                          B=t64([[1.0], [1.0]]), C=t64([[1.0], [1.0]]))
+        y = mb.selective_scan_seq(s, t64([[-1.0]]), t64([0.0]))
+        assert y.data[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert y.data[1, 0] == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
 
 
 class TestSelectiveScan:
@@ -121,11 +106,11 @@ class TestSelectiveScan:
         for _ in range(20):
             L, d, n = int(rng.integers(2, 60)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
             s, A, _ = random_scan_instance(rng, L, d, n)
-            abar, bbar = mb.discretize(s.delta, A, s.B)
-            assert np.all(abar.data > 0.0) and np.all(abar.data < 1.0)
-            b_seq = bbar.data * s.u.data[:, :, None]
-            h = mb.linear_recurrence(abar.data, b_seq, impl="seq")
-            bound = np.max(np.abs(b_seq)) / (1.0 - abar.data.max())
+            abar = np.exp(s.delta.data[:, :, None] * A.data[None, :, :])
+            assert np.all(abar > 0.0) and np.all(abar < 1.0)
+            b_seq = (s.delta.data * s.u.data)[:, :, None] * s.B.data[:, None, :]
+            bound = np.max(np.abs(b_seq)) / (1.0 - abar.max())
+            h = mb.linear_recurrence(abar, b_seq, impl="seq")
             assert np.max(np.abs(h)) <= bound + 1e-12
 
     def test_delta_must_be_positive(self):
@@ -150,22 +135,29 @@ class TestSelectiveScan:
             assert err <= REL_TOLERANCE, f"seed {seed}: rel err {err:.2e}"
 
     def test_assoc_scan_gradients_match_seq(self):
-        rng = np.random.default_rng(8)
-        s, A, D = random_scan_instance(rng, 12, 3, 2)
-        probe = t64(rng.standard_normal((12, 3)))
-        params = [s.u, s.delta, s.B, s.C, A, D]
+        # Lengths cover the adjoint's first and last frames and the
+        # 64-frame chunk boundaries of the associative scan.
+        for L in (1, 2, 12, 63, 64, 65, 129):
+            rng = np.random.default_rng(8 + L)
+            s, A, D = random_scan_instance(rng, L, 3, 2)
+            probe = t64(rng.standard_normal((L, 3)))
+            params = [s.u, s.delta, s.B, s.C, A, D]
 
-        def loss_with(scan_fn):
-            def loss():
-                out = scan_fn(mb.ScanInputs(u=params[0], delta=params[1],
-                                            B=params[2], C=params[3]), params[4], params[5])
-                return nm.sum_all(nm.mul(out, probe))
-            return loss
+            def loss_with(scan_fn):
+                def loss():
+                    out = scan_fn(mb.ScanInputs(u=params[0], delta=params[1],
+                                                B=params[2], C=params[3]), params[4], params[5])
+                    return nm.sum_all(nm.mul(out, probe))
+                return loss
 
-        g_seq = nm.grad(loss_with(mb.selective_scan_seq), params)
-        g_assoc = nm.grad(loss_with(mb.selective_scan_assoc), params)
-        for gs, ga in zip(g_seq, g_assoc):
-            assert np.max(np.abs(gs.data - ga.data)) <= 1e-10
+            y_seq = mb.selective_scan_seq(s, A, D).data
+            y_assoc = mb.selective_scan_assoc(s, A, D).data
+            assert y_seq.dtype == np.float64
+            assert np.max(np.abs(y_seq - y_assoc)) <= 1e-10, f"L={L}"
+            g_seq = nm.grad(loss_with(mb.selective_scan_seq), params)
+            g_assoc = nm.grad(loss_with(mb.selective_scan_assoc), params)
+            for name, gs, ga in zip("u delta B C A D".split(), g_seq, g_assoc):
+                assert np.max(np.abs(gs.data - ga.data)) <= 1e-10, f"L={L}, d{name}"
 
 
 class TestMambaBlock:

@@ -133,6 +133,17 @@ class TestNonlinearities:
         got = nm.silu(t64([1.0])).data[0]
         assert got == pytest.approx(0.7310585786300049, abs=1e-12)
 
+    def test_sigmoid_matches_two_branch_form(self):
+        # The tanh form against 1/(1+e^-x) | e^x/(1+e^x), evaluated in float64.
+        x = np.linspace(-800.0, 800.0, 160_001)
+        pos = x >= 0
+        want = np.where(pos, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert np.max(np.abs(nm._sigmoid(x) - want)) <= 2.3e-16
+        got32 = nm._sigmoid(x.astype(np.float32))
+        assert got32.dtype == np.float32
+        assert np.max(np.abs(got32 - want)) <= 1.2e-7
+
     def test_silu_asymptote(self):
         # True gap at x=20 is 20*sigmoid(-20) ~ 4.12e-8; exact at 1e-8 by x=22.
         assert abs(nm.silu(t64([20.0])).data[0] - 20.0) <= 1e-7
@@ -155,25 +166,27 @@ class TestNonlinearities:
     def test_softplus_large_argument_identity(self):
         assert abs(nm.softplus(t64([100.0])).data[0] - 100.0) <= 1e-9
 
+    # The softmax properties below are checked on exp(log_softmax_rows),
+    # the softmax the training loss uses.
     def test_softmax_uniform(self):
-        y = nm.softmax_rows(t64(np.zeros((2, 4)))).data
+        y = np.exp(nm.log_softmax_rows(t64(np.zeros((2, 4)))).data)
         assert np.max(np.abs(y - 0.25)) <= 1e-15
 
     def test_softmax_known_row(self):
-        y = nm.softmax_rows(t64([[0.0, math.log(3.0)]])).data
+        y = np.exp(nm.log_softmax_rows(t64([[0.0, math.log(3.0)]])).data)
         assert y[0, 0] == pytest.approx(0.25, abs=1e-12)
         assert y[0, 1] == pytest.approx(0.75, abs=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 7))
-        a = nm.softmax_rows(t64(x)).data
-        b = nm.softmax_rows(t64(x + 123.456)).data
+        a = nm.log_softmax_rows(t64(x)).data
+        b = nm.log_softmax_rows(t64(x + 123.456)).data
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        y = nm.softmax_rows(t64(rng.standard_normal((20, 9)) * 10)).data
+        y = np.exp(nm.log_softmax_rows(t64(rng.standard_normal((20, 9)) * 10)).data)
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-12
         assert np.all(y > 0.0) and np.all(y < 1.0)
 
@@ -181,7 +194,8 @@ class TestNonlinearities:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 5))
         a = nm.log_softmax_rows(t64(x)).data
-        b = np.log(nm.softmax_rows(t64(x)).data)
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        b = np.log(e / e.sum(axis=1, keepdims=True))
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_rmsnorm_unit_rms(self):
@@ -271,7 +285,7 @@ class TestGrad:
         def loss(ps):
             xx, ww, bb = ps
             h = nm.silu(nm.add_bias(nm.matmul(xx, ww), bb))
-            return nm.sum_all(nm.mul(nm.softmax_rows(h), h))
+            return nm.sum_all(nm.mul(nm.log_softmax_rows(h), h))
 
         assert check_gradients(loss, [x, w, b]) <= REL_TOLERANCE
 
@@ -283,7 +297,6 @@ def _unary_cases():
         ("softplus", nm.softplus),
         ("exp", nm.exp),
         ("reverse_time", nm.reverse_time),
-        ("softmax_rows", nm.softmax_rows),
         ("log_softmax_rows", nm.log_softmax_rows),
     ]
 

@@ -9,6 +9,7 @@ import pytest
 from bmace import chords
 from bmace import features as ft
 from bmace import gradcheck as gc
+from bmace import mamba as mb
 from bmace import model as md
 from bmace import numerics as nm
 from bmace import training as tr
@@ -316,6 +317,22 @@ class TestTrainLoop:
             assert name_a == name_b
             assert np.array_equal(ta.data, tb.data)
 
+    def test_one_progress_line_per_epoch_on_stderr(self, capsys):
+        corpus = self.make_corpus()
+        tcfg = tr.TrainConfig(max_epochs=2, batch_size=2, seed=0)
+        result = tr.train(tiny_config(), tcfg, corpus[:4], corpus[4:], chords.MAJMIN_25)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == len(result.history)
+        for record, line in zip(result.history, lines):
+            assert line.startswith(f"epoch {record['epoch']}: ")
+            assert f"val loss {record['val_loss']:.4f}" in line
+            for field in ("train loss", "val accuracy", "segments/s", "grad norm"):
+                assert field in line
+            # Wall times stay out of the history.
+            assert set(record) == {"epoch", "train_loss", "val_loss", "val_accuracy"}
+
     def test_empty_split_rejected(self):
         corpus = self.make_corpus()
         with pytest.raises(ValueError):
@@ -389,9 +406,29 @@ class TestPrediction:
                            ft.NormStats(0.0, 1.0), feats)
         assert calls == [250]
 
+    def test_training_and_prediction_run_the_sequential_scan(self, monkeypatch):
+        impls = []
+        recurrence = mb.linear_recurrence
+
+        def spy(a, b, impl="seq", **kwargs):
+            impls.append(impl)
+            return recurrence(a, b, impl=impl, **kwargs)
+
+        monkeypatch.setattr(mb, "linear_recurrence", spy)
+        cfg = tiny_config(variant=md.BMACE)
+        order, named, _ = tr._init_training(cfg)
+        rng = np.random.default_rng(25)
+        feats = rng.standard_normal((20, 144)).astype(np.float32)
+        tr._loss_and_grads(named, order, cfg, feats, rng.integers(0, 25, size=20))
+        # Two blocks, each with a forward and an adjoint recurrence.
+        assert impls == ["seq"] * 4
+        tr.predict_classes(md.init_model(cfg, dtype=STANDARD), cfg,
+                           ft.NormStats(0.0, 1.0), ft.FeatureMatrix(feats))
+        assert impls == ["seq"] * 6
+
     def test_whole_clip_pass_memory_is_bounded(self):
         # 486 frames (about 45 s) with the default bmace model. One pass
-        # peaked at 17.7 MB with numpy 2.4.6; the scan holds several
+        # peaked at 11.6 MB with numpy 2.4.6; the scan holds two
         # frames x d_inner x n_state arrays, so the peak grows with length.
         rng = np.random.default_rng(24)
         feats = ft.FeatureMatrix(rng.normal(size=(486, 144)))
