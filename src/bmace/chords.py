@@ -400,10 +400,11 @@ def class_to_label(class_id, vocab):
     raise ValueError(f"unknown vocabulary {vocab.name!r}")
 
 
-def framewise_targets(annotation, n_frames, vocab, hop=2048, sr=22050):
+def framewise_targets(annotation, n_frames, vocab):
     """Class id per frame, taking the label active at each frame center.
 
-    Frame t is centered at t*hop/sr. Intervals are half-open, so a
+    Frame t is centered at t*2048/22050 s (the feature hop over the sample
+    rate), computed in that order. Intervals are half-open, so a
     boundary landing exactly on a center belongs to the later interval.
     Time beyond the annotation is no-chord.
     """
@@ -412,7 +413,7 @@ def framewise_targets(annotation, n_frames, vocab, hop=2048, sr=22050):
     out = []
     idx = 0
     for t in range(n_frames):
-        time = t * hop / sr
+        time = t * 2048 / 22050
         while idx < len(intervals) and intervals[idx][1] <= time:
             idx += 1
         if idx < len(intervals) and intervals[idx][0] <= time < intervals[idx][1]:

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,26 +59,11 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     version: str = __version__
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-        }
-
     def write(self, base):
-        path = _run_base(base).with_suffix(".manifest.json")
-        path.write_text(json.dumps(self.to_dict(), indent=1) + "\n",
+        path = tensorio.sibling(base, ".manifest.json")
+        path.write_text(json.dumps(asdict(self), indent=1) + "\n",
                         encoding="utf-8")
         return path
-
-
-def _run_base(path):
-    """Output path without the container suffix; manifests sit beside it."""
-    return tensorio.manifest_path(path).with_suffix("")
 
 
 def _ensure_parent(path):
@@ -191,7 +176,7 @@ def cmd_train(args):
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
     })
-    history_path = _run_base(args.out).with_suffix(".history.json")
+    history_path = tensorio.sibling(args.out, ".history.json")
     history_path.write_text(json.dumps({
         "history": list(result.history),
         "best_epoch": result.best_epoch,
@@ -203,13 +188,13 @@ def cmd_train(args):
             "model": model_cfg.to_dict(),
             "train": {
                 "learning_rate": train_cfg.learning_rate,
-                "beta1": train_cfg.beta1,
-                "beta2": train_cfg.beta2,
-                "adam_eps": train_cfg.adam_eps,
+                "beta1": tr.BETA1,
+                "beta2": tr.BETA2,
+                "adam_eps": tr.ADAM_EPS,
                 "batch_size": train_cfg.batch_size,
                 "max_epochs": train_cfg.max_epochs,
                 "patience": train_cfg.patience,
-                "clip_norm": train_cfg.clip_norm,
+                "clip_norm": tr.CLIP_NORM,
             },
             "vocab": vocab.name,
             "synthetic": None if args.audio else args.synthetic,

@@ -84,12 +84,9 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Frames-by-bins feature values plus the transform geometry."""
+    """Frames-by-bins feature values on the HOP / FMIN / BINS_PER_OCTAVE grid."""
 
     values: np.ndarray
-    hop: int = HOP
-    fmin: float = FMIN
-    bins_per_octave: int = BINS_PER_OCTAVE
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -289,7 +286,7 @@ def log_amplitude(f, eps=LOG_EPS):
         raise ValueError(f"eps must be positive, got {eps}")
     if f.values.min() < 0:
         raise ValueError("log amplitude expects nonnegative magnitudes")
-    return FeatureMatrix(np.log(f.values + eps), f.hop, f.fmin, f.bins_per_octave)
+    return FeatureMatrix(np.log(f.values + eps))
 
 
 def compute_norm_stats(features):
@@ -306,7 +303,7 @@ def compute_norm_stats(features):
 def znormalize(f, stats):
     """(F - mean) / sqrt(variance) with the pooled scalar statistics."""
     vals = (f.values - stats.mean) / math.sqrt(stats.variance)
-    return FeatureMatrix(vals, f.hop, f.fmin, f.bins_per_octave)
+    return FeatureMatrix(vals)
 
 
 def windows(values, fill=0):
@@ -329,7 +326,7 @@ def windows(values, fill=0):
     return out
 
 
-def synth_chord_clip(progression, sr=SAMPLE_RATE, seed=0):
+def synth_chord_clip(progression, seed=0):
     """Render a contiguous chord progression as deterministic audio.
 
     Each chord sums sines at its pitch classes in octaves 3 and 4 with
@@ -348,20 +345,20 @@ def synth_chord_clip(progression, sr=SAMPLE_RATE, seed=0):
             raise ValueError("progression intervals must be contiguous")
 
     rng = np.random.default_rng(seed)
-    total = int(round(intervals[-1][1] * sr))
-    fade = int(round(FADE_SECONDS * sr))
+    total = int(round(intervals[-1][1] * SAMPLE_RATE))
+    fade = int(round(FADE_SECONDS * SAMPLE_RATE))
     signal = np.zeros(total)
     for start_s, end_s, label in intervals:
         if label.is_unknown:
             raise ValueError("cannot synthesize an unknown label")
-        n0 = min(int(round(start_s * sr)), total)
-        n1 = min(int(round(end_s * sr)), total)
+        n0 = min(int(round(start_s * SAMPLE_RATE)), total)
+        n1 = min(int(round(end_s * SAMPLE_RATE)), total)
         if n1 <= n0:
             continue
         pcs = sorted(label.pitch_classes())
         if not pcs:
             continue
-        t = np.arange(n0, n1) / sr
+        t = np.arange(n0, n1) / SAMPLE_RATE
         seg = np.zeros(n1 - n0)
         for pc in pcs:
             for octave in (3, 4):
@@ -381,20 +378,23 @@ def synth_chord_clip(progression, sr=SAMPLE_RATE, seed=0):
     if peak > 0:
         signal *= 0.5 / peak
     signal += rng.normal(0.0, NOISE_STD, total)
-    return AudioClip(signal, sr)
+    return AudioClip(signal, SAMPLE_RATE)
 
 
-def make_random_progression(seed, duration_s=10.0, vocab=None, no_chord_prob=0.08,
-                            min_chord_s=1.0, max_chord_s=2.5):
-    """Seeded random chord progression covering [0, duration_s]."""
+def make_random_progression(seed, duration_s=10.0, vocab=None):
+    """Seeded random chord progression covering [0, duration_s].
+
+    Chords last uniform(1, 2.5) seconds; each is no-chord with probability
+    0.08, else a uniformly drawn chord class of the vocabulary.
+    """
     vocab = vocab or chords.MAJMIN_25
     n_real = 24 if vocab.name == "majmin" else 168
     rng = np.random.default_rng(seed)
     out = []
     t = 0.0
     while t < duration_s - 1e-9:
-        end = min(t + rng.uniform(min_chord_s, max_chord_s), duration_s)
-        if rng.uniform() < no_chord_prob:
+        end = min(t + rng.uniform(1.0, 2.5), duration_s)
+        if rng.uniform() < 0.08:
             label = chords.ChordLabel.no_chord()
         else:
             label = chords.parse_chord(chords.class_to_label(int(rng.integers(n_real)), vocab))

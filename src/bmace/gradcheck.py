@@ -14,14 +14,13 @@ import numpy as np
 
 from .numerics import HIGH, Tensor, grad
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 REL_TOLERANCE = 1e-4
 
 
 def finite_difference_grads(
     loss_fn: Callable[[Sequence[Tensor]], Tensor],
     params: Sequence[Tensor],
-    h: float = DEFAULT_STEP,
 ) -> list[np.ndarray]:
     """Numeric gradient of loss_fn(params) for every element of every param."""
     grads = []
@@ -35,11 +34,11 @@ def finite_difference_grads(
             vals = []
             for sign in (1.0, -1.0):
                 bumped = flat.copy()
-                bumped[j] += sign * h
+                bumped[j] += sign * STEP
                 probe = list(params)
                 probe[i] = Tensor(bumped.reshape(p.shape), dtype=HIGH)
                 vals.append(loss_fn(probe).item())
-            g[j] = (vals[0] - vals[1]) / (2.0 * h)
+            g[j] = (vals[0] - vals[1]) / (2.0 * STEP)
         grads.append(g.reshape(p.shape))
     return grads
 
@@ -57,21 +56,20 @@ def max_relative_error(analytic: Sequence[Tensor], numeric: Sequence[np.ndarray]
 def check_gradients(
     loss_fn: Callable[[Sequence[Tensor]], Tensor],
     params: Sequence[Tensor],
-    h: float = DEFAULT_STEP,
 ) -> float:
     """Max relative error between tape and finite-difference gradients."""
     analytic = grad(lambda: loss_fn(params), params)
-    numeric = finite_difference_grads(loss_fn, params, h=h)
+    numeric = finite_difference_grads(loss_fn, params)
     return max_relative_error(analytic, numeric)
 
 
-def model_gradcheck(variant: str, seed: int = 0, n_frames: int = 6) -> float:
+def model_gradcheck(variant: str, seed: int = 0) -> float:
     """Finite-difference check of a full tiny model against the tape.
 
     Builds a small config (d_model=4, expand=2, n_state=2, dt_rank=2,
     conv_k=2, 3 classes) in HIGH precision, runs a masked cross-entropy loss
-    on random features and targets, and returns the worst relative error
-    over every parameter element.
+    on six frames of random features and targets, and returns the worst
+    relative error over every parameter element.
     """
     from .model import ModelConfig, forward, init_model, params_from_dict
     from .numerics import log_softmax_rows, masked_gather_mean, mul
@@ -79,6 +77,7 @@ def model_gradcheck(variant: str, seed: int = 0, n_frames: int = 6) -> float:
     cfg = ModelConfig(variant=variant, n_classes=3, d_model=4, n_state=2,
                       dt_rank=2, conv_k=2, expand=2, seed=seed)
     params = init_model(cfg, dtype=HIGH)
+    n_frames = 6
     rng = np.random.default_rng(seed + 1)
     x = Tensor(rng.standard_normal((n_frames, cfg.n_bins)))
     targets = rng.integers(0, cfg.n_classes, size=n_frames)

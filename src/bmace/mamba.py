@@ -23,14 +23,13 @@ reverse-time linear recurrence, run by the same evaluator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .numerics import (
     ShapeError,
     Tensor,
-    add,
     add_bias,
     conv1d_depthwise,
     exp,
@@ -51,15 +50,14 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
-                      chunk: int = ASSOC_CHUNK) -> np.ndarray:
+def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq") -> np.ndarray:
     """h[t] = a[t] * h[t-1] + b[t] elementwise over trailing axes, h[-1] = 0.
 
     h overwrites b, which is returned; b may be a view, such as a
     time-reversed one. impl="seq" walks time once; impl="assoc" runs a
     chunked inclusive scan with the associative combinator inside each
-    chunk and combines chunks left to right, which keeps results
-    bit-stable across sequence lengths.
+    ASSOC_CHUNK-frame chunk and combines chunks left to right, which keeps
+    results bit-stable across sequence lengths.
     """
     if a.shape != b.shape:
         raise ShapeError(f"linear_recurrence needs equal shapes, got {a.shape} and {b.shape}")
@@ -73,9 +71,9 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq",
     if impl != "assoc":
         raise ValueError(f"unknown scan implementation {impl!r}")
     carry = np.zeros(b.shape[1:], dtype=b.dtype)
-    for s in range(0, L, chunk):
-        a_c = a[s:s + chunk].copy()
-        b_c = b[s:s + chunk].copy()
+    for s in range(0, L, ASSOC_CHUNK):
+        a_c = a[s:s + ASSOC_CHUNK].copy()
+        b_c = b[s:s + ASSOC_CHUNK].copy()
         T = a_c.shape[0]
         off = 1
         while off < T:
@@ -109,10 +107,6 @@ class ScanInputs:
             raise ShapeError("scan needs at least one frame")
         if not np.all(delta.data > 0):
             raise ValueError("delta must be strictly positive")
-
-    @property
-    def length(self) -> int:
-        return self.u.shape[0]
 
 
 def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str) -> Tensor:
@@ -179,8 +173,9 @@ class MambaBlockParams:
     Shapes (d = d_model, e = d_inner, n = state size, r = step-size rank,
     k = conv width): in_proj (d, 2e), conv_w (e, k), conv_b (e,),
     x_proj (e, r+2n), dt_proj (r, e), dt_bias (e,), A_log (e, n), D (e,),
-    out_proj (e, d), norm_gain (d,). Projection biases are optional and
-    default to absent.
+    out_proj (e, d), norm_gain (d,). As in the Mamba block, the input and
+    output projections carry no bias. ``named_tensors`` yields the fields
+    in declaration order, which is the tensor order of a checkpoint.
     """
 
     in_proj: Tensor
@@ -193,8 +188,6 @@ class MambaBlockParams:
     D: Tensor
     out_proj: Tensor
     norm_gain: Tensor
-    in_bias: Tensor | None = None
-    out_bias: Tensor | None = None
 
     def __post_init__(self):
         d, two_e = self.in_proj.shape
@@ -212,10 +205,6 @@ class MambaBlockParams:
             got = getattr(self, name).shape
             if got != shape:
                 raise ShapeError(f"{name} must have shape {shape}, got {got}")
-        if self.in_bias is not None and self.in_bias.shape != (2 * e,):
-            raise ShapeError(f"in_bias must have shape ({2 * e},), got {self.in_bias.shape}")
-        if self.out_bias is not None and self.out_bias.shape != (d,):
-            raise ShapeError(f"out_bias must have shape ({d},), got {self.out_bias.shape}")
 
     @property
     def d_model(self) -> int:
@@ -233,17 +222,9 @@ class MambaBlockParams:
     def dt_rank(self) -> int:
         return self.dt_proj.shape[0]
 
-    @property
-    def conv_k(self) -> int:
-        return self.conv_w.shape[1]
-
     def named_tensors(self, prefix: str = ""):
-        for name in ("in_proj", "conv_w", "conv_b", "x_proj", "dt_proj",
-                     "dt_bias", "A_log", "D", "out_proj", "norm_gain",
-                     "in_bias", "out_bias"):
-            t = getattr(self, name)
-            if t is not None:
-                yield prefix + name, t
+        for f in fields(self):
+            yield prefix + f.name, getattr(self, f.name)
 
 
 def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
@@ -268,8 +249,6 @@ def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
     e, n, r = params.d_inner, params.n_state, params.dt_rank
     normed = rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS)
     proj = matmul(normed, params.in_proj)
-    if params.in_bias is not None:
-        proj = add_bias(proj, params.in_bias)
     branch = slice_cols(proj, 0, e)
     gate = slice_cols(proj, e, 2 * e)
 
@@ -286,8 +265,6 @@ def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
 
     gated = mul(y, silu(gate))
     out = matmul(gated, params.out_proj)
-    if params.out_bias is not None:
-        out = add_bias(out, params.out_bias)
     if direction == BACKWARD:
         out = reverse_time(out)
     return out

@@ -40,11 +40,6 @@ _SEVENTH_CLASSES = frozenset(range(9)) | {10, 11}
 _SEVENTHS_DOMAIN = frozenset({"maj", "min", "7", "maj7", "min7"})
 
 
-def pitch_classes(label):
-    """Absolute pitch classes of a label (empty for no-chord/unknown)."""
-    return label.pitch_classes()
-
-
 def _canonical(label):
     """Normalize to ('chord', root, quality) or a special kind.
 
@@ -184,15 +179,15 @@ def evaluate_all(ref, est):
                       {kind: total for kind, (_, total) in recalls.items()})
 
 
-def frames_to_annotation(classes, vocab, hop=2048, sr=22050):
+def frames_to_annotation(classes, vocab):
     """Merge a framewise class sequence into an interval annotation.
 
-    Each frame owns hop/sr seconds; consecutive identical classes fuse.
+    Each frame owns 2048/22050 s (the feature hop); consecutive identical classes fuse.
     SKIP entries become unknown labels.
     """
     if len(classes) == 0:
         raise ValueError("empty class sequence")
-    width = hop / sr
+    width = 2048 / 22050
     intervals = []
     run_start = 0
     for t in range(1, len(classes) + 1):

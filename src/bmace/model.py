@@ -22,7 +22,7 @@ count exactly linear in sequence length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -84,17 +84,11 @@ class ModelConfig:
         return self.d_model if self.variant == MACE_V else 2 * self.d_model
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "n_classes": self.n_classes,
-            "d_model": self.d_model, "n_state": self.n_state,
-            "dt_rank": self.dt_rank, "conv_k": self.conv_k,
-            "expand": self.expand, "n_bins": self.n_bins, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in ("variant", "n_classes", "d_model", "n_state",
-                                        "dt_rank", "conv_k", "expand", "n_bins", "seed")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -140,14 +134,8 @@ class ModelParams:
 
 def params_from_dict(tensors: dict[str, Tensor]) -> ModelParams:
     def block(prefix: str) -> MambaBlockParams:
-        fields = {}
-        for key in ("in_proj", "conv_w", "conv_b", "x_proj", "dt_proj", "dt_bias",
-                    "A_log", "D", "out_proj", "norm_gain"):
-            fields[key] = tensors[prefix + key]
-        for key in ("in_bias", "out_bias"):
-            if prefix + key in tensors:
-                fields[key] = tensors[prefix + key]
-        return MambaBlockParams(**fields)
+        return MambaBlockParams(**{f.name: tensors[prefix + f.name]
+                                   for f in fields(MambaBlockParams)})
 
     return ModelParams(
         fc_in=tensors["fc_in"], fc_bias=tensors["fc_bias"],
@@ -159,25 +147,25 @@ def params_from_dict(tensors: dict[str, Tensor]) -> ModelParams:
 # --------------------------------------------------------------------------
 # Initialization
 
+def _uniform(rng: np.random.Generator, shape, fan_in) -> Tensor:
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape))
+
+
 def _init_block(rng: np.random.Generator, cfg: ModelConfig) -> MambaBlockParams:
     d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape))
-
-    in_proj = uniform((d, 2 * e), d)
-    conv_w = uniform((e, k), k)
-    conv_b = uniform((e,), k)
-    x_proj = uniform((e, r + 2 * n), e)
-    dt_proj = uniform((r, e), r)
+    in_proj = _uniform(rng, (d, 2 * e), d)
+    conv_w = _uniform(rng, (e, k), k)
+    conv_b = _uniform(rng, (e,), k)
+    x_proj = _uniform(rng, (e, r + 2 * n), e)
+    dt_proj = _uniform(rng, (r, e), r)
     # Step sizes start log-uniform in [0.001, 0.1]; dt_bias is the softplus
     # preimage so softplus(dt_bias) lands exactly there.
     dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=e))
     dt_bias = Tensor(dt + np.log(-np.expm1(-dt)))
     a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (e, 1))))
     d_skip = Tensor(np.ones(e))
-    out_proj = uniform((e, d), e)
+    out_proj = _uniform(rng, (e, d), e)
     norm_gain = Tensor(np.ones(d))
     return MambaBlockParams(in_proj=in_proj, conv_w=conv_w, conv_b=conv_b,
                             x_proj=x_proj, dt_proj=dt_proj, dt_bias=dt_bias,
@@ -195,18 +183,13 @@ def init_model(cfg: ModelConfig, dtype=STANDARD) -> ModelParams:
     head_bias. Draws happen in float64 and are then cast.
     """
     rng = np.random.default_rng(cfg.seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape))
-
     params = ModelParams(
-        fc_in=uniform((cfg.n_bins, cfg.d_model), cfg.n_bins),
-        fc_bias=uniform((cfg.d_model,), cfg.n_bins),
+        fc_in=_uniform(rng, (cfg.n_bins, cfg.d_model), cfg.n_bins),
+        fc_bias=_uniform(rng, (cfg.d_model,), cfg.n_bins),
         block_a=_init_block(rng, cfg),
         block_b=_init_block(rng, cfg),
-        head=uniform((cfg.head_in, cfg.n_classes), cfg.head_in),
-        head_bias=uniform((cfg.n_classes,), cfg.head_in),
+        head=_uniform(rng, (cfg.head_in, cfg.n_classes), cfg.head_in),
+        head_bias=_uniform(rng, (cfg.n_classes,), cfg.head_in),
     )
     return params if dtype == HIGH else params.astype(dtype)
 
@@ -316,6 +299,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
     cfg = ModelConfig.from_dict(meta["config"])
     tensors = {name: Tensor(arr, dtype=STANDARD) for name, arr in arrays.items()}
     params = params_from_dict(tensors)
+    unknown = sorted(set(tensors) - {name for name, _ in params.named_tensors()})
+    if unknown:
+        raise tensorio.BlobFormatError(f"checkpoint holds unknown tensors {unknown}")
     if params.n_params() != count_params(cfg):
         raise tensorio.BlobFormatError(
             f"checkpoint holds {params.n_params()} parameters, "

@@ -74,26 +74,12 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def tolist(self):
-        return self.data.tolist()
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor._wrap(self.data.astype(dtype))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
 def tensor(values, dtype=HIGH) -> Tensor:
     return Tensor(values, dtype=dtype)
-
-
-def zeros(shape, dtype=HIGH) -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=HIGH) -> Tensor:
-    return Tensor._wrap(np.ones(shape, dtype=dtype))
 
 
 # --------------------------------------------------------------------------
@@ -153,19 +139,14 @@ class Tape:
         return result
 
 
-def active_tape() -> Tape | None:
-    return _tapes.stack[-1] if _tapes.stack else None
-
-
 def record_op(out: Tensor, parents: Sequence[Tensor], vjp: Callable) -> None:
     """Append an operation to the active tape; no-op when not recording.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per parent,
     each shaped exactly like that parent. It must not mutate ``grad_out``.
     """
-    t = active_tape()
-    if t is not None:
-        t._entries.append((out, tuple(parents), vjp))
+    if _tapes.stack:
+        _tapes.stack[-1]._entries.append((out, tuple(parents), vjp))
 
 
 def grad(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> list[Tensor]:
@@ -231,11 +212,6 @@ def add(a: Tensor, b) -> Tensor:
                    lambda x, y: (lambda g: g, lambda g: g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y,
-                   lambda x, y: (lambda g: g, lambda g: -g))
-
-
 def mul(a: Tensor, b) -> Tensor:
     return _binary(a, b, "mul", lambda x, y: x * y,
                    lambda x, y: (lambda g: g * y, lambda g: g * x))
@@ -248,12 +224,6 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.log(a.data))
-    record_op(out, (a,), lambda g: (g / a.data,))
-    return out
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Row-broadcast bias: x[L,d] + b[d]."""
     _check_same_dtype(x, b)
@@ -261,16 +231,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_bias needs (L,d) and (d,), got {x.shape} and {b.shape}")
     out = Tensor._wrap(x.data + b.data[None, :])
     record_op(out, (x, b), lambda g: (g, g.sum(axis=0)))
-    return out
-
-
-def mul_bias(x: Tensor, v: Tensor) -> Tensor:
-    """Row-broadcast gain: x[L,d] * v[d]."""
-    _check_same_dtype(x, v)
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError(f"mul_bias needs (L,d) and (d,), got {x.shape} and {v.shape}")
-    out = Tensor._wrap(x.data * v.data[None, :])
-    record_op(out, (x, v), lambda g: (g * v.data[None, :], (g * x.data).sum(axis=0)))
     return out
 
 

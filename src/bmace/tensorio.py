@@ -3,14 +3,20 @@
 Two files: ``<base>.json`` holds a UTF-8 JSON manifest (format tag, free-form
 metadata, and per-tensor name/shape/dtype/byte-offset records) and
 ``<base>.bin`` holds the raw little-endian float32 values back to back in
-manifest order. Loading validates the blob length against the manifest.
+manifest order. The manifest records the blob's length and SHA-256, and
+loading checks both (containers written before the digest was recorded
+are checked on length only). Each file is written beside its target and
+renamed over it, blob first and manifest last, so a reader never sees a
+half-written file.
 Model checkpoints use the tag "bmace-ckpt-1"; feature caches reuse the same
 container with tag "bmace-feat-1".
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +32,36 @@ class BlobFormatError(ValueError):
     """Raised when a manifest or blob does not match the container contract."""
 
 
-def _base(path) -> Path:
+def sibling(path, suffix: str) -> Path:
+    """``path`` less a trailing .json or .bin, with ``suffix`` appended.
+
+    Other dots stay part of the name, so ``run/model.v2`` and
+    ``run/model.v3`` name different files.
+    """
     p = Path(path)
-    return p.with_suffix("") if p.suffix in (".json", ".bin") else p
+    if p.suffix in (".json", ".bin"):
+        p = p.with_suffix("")
+    return p.with_name(p.name + suffix)
 
 
 def manifest_path(path) -> Path:
-    return _base(path).with_suffix(".json")
+    return sibling(path, ".json")
 
 
 def blob_path(path) -> Path:
-    return _base(path).with_suffix(".bin")
+    return sibling(path, ".bin")
+
+
+def _write_atomically(path: Path, data: bytes) -> None:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]:
@@ -59,15 +84,17 @@ def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]
         })
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     manifest = {
         "format": fmt,
         "meta": meta,
         "tensors": records,
         "blob_bytes": offset,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     mpath, bpath = manifest_path(path), blob_path(path)
-    mpath.write_text(json.dumps(manifest, indent=1, sort_keys=False) + "\n", encoding="utf-8")
-    bpath.write_bytes(b"".join(chunks))
+    _write_atomically(bpath, blob)
+    _write_atomically(mpath, (json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
     return mpath, bpath
 
 
@@ -86,6 +113,9 @@ def read_tensors(path, expect_format: str | None = None) -> tuple[str, dict, dic
     if declared != len(blob):
         raise BlobFormatError(
             f"{bpath}: blob holds {len(blob)} bytes but manifest declares {declared}")
+    digest = manifest.get("blob_sha256")
+    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        raise BlobFormatError(f"{bpath}: blob does not match the manifest's SHA-256")
     tensors: dict[str, np.ndarray] = {}
     for rec in manifest["tensors"]:
         if rec["dtype"] != _DTYPE_TAG:

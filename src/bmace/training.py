@@ -27,6 +27,12 @@ from .numerics import STANDARD, Tape, Tensor
 
 SKIP = chords.SKIP
 
+# Adam moments and epsilon, and the global gradient-norm clip.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 5.0
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; training cannot continue."""
@@ -35,24 +41,15 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 8
     max_epochs: int = 50
     patience: int = 5
-    clip_norm: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "adam_eps", "batch_size", "max_epochs",
-                     "patience", "clip_norm"):
+        for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +116,11 @@ def adam_step(named, grads, state, cfg):
         if g.shape != param.shape:
             raise nm.ShapeError(
                 f"gradient for {name} has shape {g.shape}, parameter is {param.shape}")
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        new_params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        new_params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(new_m, new_v, t)
@@ -189,39 +186,38 @@ def build_dataset(examples, vocab, stats):
     return segments
 
 
-def _params_from_arrays(named, order):
-    return md.params_from_dict({name: Tensor(named[name], dtype=STANDARD) for name in order})
+def _params_from_arrays(named):
+    return md.params_from_dict({name: Tensor(arr, dtype=STANDARD) for name, arr in named.items()})
 
 
 def _init_training(model_cfg):
-    """Initial parameters as (name order, named arrays, fresh Adam state)."""
+    """Initial parameters as (named arrays in tensor order, fresh Adam state)."""
     params0 = md.init_model(model_cfg, dtype=STANDARD)
-    order = [name for name, _ in params0.named_tensors()]
     named = {name: np.array(tensor.data) for name, tensor in params0.named_tensors()}
-    return order, named, adam_init(named)
+    return named, adam_init(named)
 
 
-def _loss_and_grads(named, order, model_cfg, feats, targets):
+def _loss_and_grads(named, model_cfg, feats, targets):
     # The scan rejects non-finite time steps with its own invariant error,
     # so screen step inputs here and report the failure as what it is.
     if not np.all(np.isfinite(feats)):
         raise TrainingDivergedError("non-finite feature values reached a training step")
-    for name in order:
-        if not np.all(np.isfinite(named[name])):
+    for name, arr in named.items():
+        if not np.all(np.isfinite(arr)):
             raise TrainingDivergedError(f"parameter {name} became non-finite")
-    tensors = {name: Tensor(named[name], dtype=STANDARD) for name in order}
+    tensors = {name: Tensor(arr, dtype=STANDARD) for name, arr in named.items()}
     params = md.params_from_dict(tensors)
     with Tape() as tape:
         x = Tensor(feats, dtype=STANDARD)
         logits = md.forward(params, model_cfg, x)
         loss = cross_entropy(logits, targets)
-    grads = tape.gradients(loss, [tensors[name] for name in order])
-    return float(loss.data), {name: g.data for name, g in zip(order, grads)}
+    grads = tape.gradients(loss, list(tensors.values()))
+    return float(loss.data), {name: g.data for name, g in zip(tensors, grads)}
 
 
-def _evaluate_split(named, order, model_cfg, segments):
+def _evaluate_split(named, model_cfg, segments):
     """(mean loss, framewise accuracy) over a list of segments, no tape."""
-    params = _params_from_arrays(named, order)
+    params = _params_from_arrays(named)
     loss_sum = 0.0
     loss_n = 0
     correct = 0
@@ -257,7 +253,7 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     train_segments = build_dataset(train_clips, vocab, stats)
     val_segments = build_dataset(val_clips, vocab, stats)
 
-    order, named, state = _init_training(model_cfg)
+    named, state = _init_training(model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
 
     best = {name: arr.copy() for name, arr in named.items()}
@@ -279,24 +275,24 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
                 feats, targets = train_segments[index]
                 if not (targets != SKIP).any():
                     continue
-                loss_value, grads = _loss_and_grads(named, order, model_cfg, feats, targets)
+                loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
                 if not math.isfinite(loss_value):
                     raise TrainingDivergedError(
                         f"non-finite training loss at epoch {epoch}")
-                for name in order:
-                    acc[name] += grads[name]
+                for name, g in grads.items():
+                    acc[name] += g
                 contributing += 1
                 loss_sum += loss_value
                 loss_n += 1
             if contributing == 0:
                 continue
-            mean_grads = {name: acc[name] / contributing for name in order}
-            clipped, norm = clip_gradients(mean_grads, train_cfg.clip_norm)
+            mean_grads = {name: g / contributing for name, g in acc.items()}
+            clipped, norm = clip_gradients(mean_grads, CLIP_NORM)
             norms.append(norm)
             named, state = adam_step(named, clipped, state, train_cfg)
         seconds = time.perf_counter() - started
 
-        val_loss, val_accuracy = _evaluate_split(named, order, model_cfg, val_segments)
+        val_loss, val_accuracy = _evaluate_split(named, model_cfg, val_segments)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append({
@@ -320,7 +316,7 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
             if bad_epochs >= train_cfg.patience:
                 break
 
-    return TrainResult(_params_from_arrays(best, order), stats, tuple(history),
+    return TrainResult(_params_from_arrays(best), stats, tuple(history),
                        best_epoch, best_val)
 
 
@@ -332,18 +328,18 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     toward zero. Stops early once the loss drops under ``stop_below``.
     """
     cfg = train_cfg or TrainConfig()
-    order, named, state = _init_training(model_cfg)
+    named, state = _init_training(model_cfg)
     losses = []
     for _ in range(steps):
-        loss_value, grads = _loss_and_grads(named, order, model_cfg, feats, targets)
+        loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
         if not math.isfinite(loss_value):
             raise TrainingDivergedError("non-finite loss during overfit probe")
         losses.append(loss_value)
-        clipped, _ = clip_gradients(grads, cfg.clip_norm)
+        clipped, _ = clip_gradients(grads, CLIP_NORM)
         named, state = adam_step(named, clipped, state, cfg)
         if stop_below is not None and loss_value < stop_below:
             break
-    return _params_from_arrays(named, order), losses
+    return _params_from_arrays(named), losses
 
 
 def predict_classes(params, model_cfg, stats, feats):

@@ -158,6 +158,20 @@ class TestTrainCommand:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_dotted_output_names_do_not_collide(self, capsys, tmp_path):
+        run = tmp_path / "run"
+        for seed, name in enumerate(("model.v2", "model.v3")):
+            assert run_cli(capsys, *self.train_args(run / name, seed=seed))[0] == cli.EXIT_OK
+        suffixes = (".json", ".bin", ".history.json", ".manifest.json")
+        assert sorted(p.name for p in run.iterdir()) == sorted(
+            name + suffix for name in ("model.v2", "model.v3") for suffix in suffixes)
+        for seed, name in enumerate(("model.v2", "model.v3")):
+            cfg, _, _ = md.load_checkpoint(run / name)
+            assert cfg.seed == seed
+            manifest = json.loads((run / f"{name}.manifest.json").read_text())
+            assert manifest["seeds"] == {"seed": seed}
+            assert manifest["outputs"][0] == str(run / f"{name}.json")
+
     def test_invalid_variant_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--variant", "nope", "--out", str(tmp_path / "x")])

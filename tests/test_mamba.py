@@ -94,7 +94,7 @@ class TestSelectiveScan:
         for _ in range(10):
             L, d, n = int(rng.integers(2, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
             s, _, D = random_scan_instance(rng, L, d, n)
-            A0 = nm.zeros((d, n))
+            A0 = t64(np.zeros((d, n)))
             y = mb.selective_scan_seq(s, A0, D)
             du = s.delta.data * s.u.data
             prefix = np.cumsum(du[:, :, None] * s.B.data[:, None, :], axis=0)
@@ -173,16 +173,16 @@ class TestMambaBlock:
         # With in_proj = 0 the gate is silu(0) = 0 and annihilates everything.
         z = self.TINY
         p = mb.MambaBlockParams(
-            in_proj=nm.zeros((z["d_model"], 2 * z["d_inner"])),
-            conv_w=nm.zeros((z["d_inner"], z["k"])),
-            conv_b=nm.zeros(z["d_inner"]),
-            x_proj=nm.zeros((z["d_inner"], z["r"] + 2 * z["n"])),
-            dt_proj=nm.zeros((z["r"], z["d_inner"])),
-            dt_bias=nm.zeros(z["d_inner"]),
-            A_log=nm.zeros((z["d_inner"], z["n"])),
-            D=nm.zeros(z["d_inner"]),
-            out_proj=nm.zeros((z["d_inner"], z["d_model"])),
-            norm_gain=nm.ones(z["d_model"]),
+            in_proj=t64(np.zeros((z["d_model"], 2 * z["d_inner"]))),
+            conv_w=t64(np.zeros((z["d_inner"], z["k"]))),
+            conv_b=t64(np.zeros(z["d_inner"])),
+            x_proj=t64(np.zeros((z["d_inner"], z["r"] + 2 * z["n"]))),
+            dt_proj=t64(np.zeros((z["r"], z["d_inner"]))),
+            dt_bias=t64(np.zeros(z["d_inner"])),
+            A_log=t64(np.zeros((z["d_inner"], z["n"]))),
+            D=t64(np.zeros(z["d_inner"])),
+            out_proj=t64(np.zeros((z["d_inner"], z["d_model"]))),
+            norm_gain=t64(np.ones(z["d_model"])),
         )
         rng = np.random.default_rng(11)
         y = mb.mamba_block(t64(rng.standard_normal((6, 4))), p)

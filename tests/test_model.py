@@ -1,5 +1,7 @@
 """Model variants: parameter accounting, forward semantics, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,37 @@ class TestCheckpoint:
         blob = tensorio.blob_path(base)
         blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(tensorio.BlobFormatError):
+            md.load_checkpoint(base)
+
+    def test_blob_digest_validated(self, tmp_path):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        blob = tensorio.blob_path(base)
+        data = bytearray(blob.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        blob.write_bytes(bytes(data))
+        with pytest.raises(tensorio.BlobFormatError, match="SHA-256"):
+            md.load_checkpoint(base)
+
+    def test_container_without_digest_still_loads(self, tmp_path):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        manifest_file = tensorio.manifest_path(base)
+        manifest = json.loads(manifest_file.read_text())
+        del manifest["blob_sha256"]
+        manifest_file.write_text(json.dumps(manifest))
+        assert md.load_checkpoint(base)[0] == cfg
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()]
+        named.append(("block_a.in_bias", np.zeros(2 * cfg.d_inner, dtype=np.float32)))
+        base = tmp_path / "ckpt"
+        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
+                               {"config": cfg.to_dict()}, named)
+        with pytest.raises(tensorio.BlobFormatError, match="block_a.in_bias"):
             md.load_checkpoint(base)
 
     def test_serialized_element_count_matches_count_params(self, tmp_path):

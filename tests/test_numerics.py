@@ -201,7 +201,7 @@ class TestNonlinearities:
     def test_rmsnorm_unit_rms(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 8)) * 3.0
-        y = nm.rmsnorm(t64(x), nm.ones(8), eps=0.0).data
+        y = nm.rmsnorm(t64(x), t64(np.ones(8)), eps=0.0).data
         assert np.max(np.abs((y * y).mean(axis=1) - 1.0)) <= 1e-12
 
 
@@ -368,8 +368,8 @@ class TestFiniteDifferenceSweep:
 
             def loss(ps):
                 xx, yy, bb = ps
-                s = nm.add(nm.mul(xx, yy), nm.sub(xx, yy))
-                return nm.sum_all(nm.mul_bias(nm.add_bias(s, bb), bb))
+                s = nm.add(nm.mul(xx, yy), nm.add(xx, nm.mul(yy, -1.0)))
+                return nm.sum_all(nm.mul(nm.add_bias(s, bb), nm.add_bias(yy, bb)))
 
             assert check_gradients(loss, [x, y, b]) <= REL_TOLERANCE
 
