@@ -1,6 +1,6 @@
 """Command-line surface for the chord estimation pipeline.
 
-Subcommands: features, train, evaluate, params, flops, gradcheck, bench.
+Subcommands: train, evaluate, params, flops, gradcheck, bench.
 Exit codes are uniform: 0 success, 1 a verification check failed, 2 usage
 or input error. Commands that write files also write a JSON run manifest
 next to their outputs with every default materialized, so a run is fully
@@ -77,9 +77,12 @@ def _ensure_parent(path):
 
 def _read_clip(path):
     try:
-        return ft.read_wav(path)
+        clip = ft.read_wav(path)
     except (ft.WavFormatError, ft.UnsupportedRateError, OSError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if clip.samples.size == 0:
+        raise CliError(f"{path} holds no audio samples")
+    return clip
 
 
 def _load_lab(path):
@@ -89,44 +92,6 @@ def _load_lab(path):
         raise CliError(f"cannot read {path}: {exc}") from exc
     except (chords.ParseError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
-
-
-# --------------------------------------------------------------------------
-# features
-
-def cmd_features(args):
-    in_dir = Path(args.audio_dir)
-    if not in_dir.is_dir():
-        raise CliError(f"not a directory: {in_dir}")
-    wavs = sorted(in_dir.glob("*.wav"))
-    if not wavs:
-        raise CliError(f"no input WAV files in {in_dir}")
-    names = [w.stem for w in wavs]
-    feats = [ft.log_amplitude(ft.cqt(_read_clip(w)), eps=args.eps) for w in wavs]
-    if args.stats_from:
-        meta, _ = ft.load_features(args.stats_from)
-        if "stats" not in meta:
-            raise CliError(f"{args.stats_from} carries no normalization stats")
-        stats = ft.NormStats.from_dict(meta["stats"])
-    else:
-        stats = ft.compute_norm_stats(feats)
-    mpath, bpath = ft.save_features(_ensure_parent(args.out), feats, meta={
-        "names": names,
-        "eps": args.eps,
-        "stats": stats.to_dict(),
-    })
-    manifest = RunManifest(
-        command="features",
-        config={"eps": args.eps, "stats_from": args.stats_from,
-                "sample_rate": ft.SAMPLE_RATE, "hop": ft.HOP,
-                "n_bins": ft.N_BINS},
-        seeds={},
-        inputs=[str(w) for w in wavs],
-        outputs=[str(mpath), str(bpath)],
-    )
-    manifest.write(args.out)
-    print(f"wrote {len(feats)} feature matrices to {mpath}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -150,12 +115,12 @@ def _corpus_from_audio(audio_dir, vocab):
 def cmd_train(args):
     _ensure_parent(args.out)  # fail before the expensive work, not after
     vocab = chords.VOCABS[args.vocab]
-    if args.audio:
-        corpus = _corpus_from_audio(args.audio, vocab)
-    else:
-        corpus = tr.make_synthetic_corpus(args.synthetic, vocab, args.seed,
-                                          duration_s=args.duration)
     try:
+        if args.audio:
+            corpus = _corpus_from_audio(args.audio, vocab)
+        else:
+            corpus = tr.make_synthetic_corpus(args.synthetic, vocab, args.seed,
+                                              duration_s=args.duration)
         train_clips, val_clips, _ = tr.split_dataset(corpus, args.seed)
         model_cfg = md.ModelConfig(variant=args.variant,
                                    n_classes=vocab.n_classes, seed=args.seed)
@@ -300,7 +265,10 @@ def cmd_params(args):
 
 
 def cmd_flops(args):
-    flops = md.count_flops(_config_for(args.variant, args.vocab), args.frames)
+    try:
+        flops = md.count_flops(_config_for(args.variant, args.vocab), args.frames)
+    except ValueError as exc:
+        raise CliError(f"bad --frames value: {exc}") from exc
     print(flops)
     print(f"gflops {flops / 1e9:.6f}")
     return EXIT_OK
@@ -348,18 +316,9 @@ def cmd_bench(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bmace",
-        description="Chord estimation toolkit: features, training, evaluation.")
+        description="Chord estimation toolkit: training and evaluation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("features", help="compute a CQT feature cache from WAV files")
-    p.add_argument("audio_dir", help="directory of 22,050 Hz WAV files")
-    p.add_argument("out", help="output cache path (.json/.bin pair)")
-    p.add_argument("--eps", type=float, default=ft.LOG_EPS,
-                   help="log-amplitude floor (default %(default)s)")
-    p.add_argument("--stats-from", default=None,
-                   help="reuse normalization stats from an existing cache")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train a model on synthetic or supplied audio")
     p.add_argument("--variant", required=True, choices=md.VARIANTS)

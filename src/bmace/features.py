@@ -17,7 +17,8 @@ The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
 chord is an additive stack of its pitch classes in octaves 3 and 4 with
 four harmonics, cosine cross-fades at boundaries, and a -40 dB noise
-floor.
+floor. Each chord interval is rendered as one real matrix product of
+per-block and per-offset phasors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chords, tensorio
+from . import chords
 
 SAMPLE_RATE = 22050
 HOP = 2048
@@ -210,6 +211,14 @@ _CQT_BLOCK = 64
 
 _PLAN_CACHE = {}
 
+# Synthesis block: an interval is rendered as rows of this many samples.
+_SYNTH_BLOCK = 1024
+# Each pitch class's partials, in phase-draw order: octave 3 then octave 4,
+# harmonics 1-4. _PARTIAL_K is the multiple of the octave-3 fundamental,
+# _PARTIAL_HARMONIC the harmonic number h that sets the amplitude 1/h.
+_PARTIAL_K = np.array([1, 2, 3, 4, 2, 4, 6, 8])
+_PARTIAL_HARMONIC = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
+
 
 def _cqt_plan(n_samples):
     """Per-octave real kernel matrices and the reflection pad for a clip length.
@@ -280,13 +289,11 @@ def cqt(clip):
     return FeatureMatrix(out)
 
 
-def log_amplitude(f, eps=LOG_EPS):
-    """Elementwise ln(S + eps)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def log_amplitude(f):
+    """Elementwise ln(S + LOG_EPS)."""
     if f.values.min() < 0:
         raise ValueError("log amplitude expects nonnegative magnitudes")
-    return FeatureMatrix(np.log(f.values + eps))
+    return FeatureMatrix(np.log(f.values + LOG_EPS))
 
 
 def compute_norm_stats(features):
@@ -333,7 +340,9 @@ def synth_chord_clip(progression, seed=0):
     four harmonics at amplitude 1/h and seeded random phases, shaped by
     10 ms cosine fades at interval boundaries. The mix is peak-normalized
     to 0.5 and white noise 40 dB down is added. No-chord intervals stay
-    silent apart from the noise floor.
+    silent apart from the noise floor. Phases are drawn chord by chord in
+    _PARTIAL_K order, then the noise, so the random stream is fixed by
+    the seed.
     """
     intervals = progression.intervals
     if not intervals:
@@ -358,14 +367,22 @@ def synth_chord_clip(progression, seed=0):
         pcs = sorted(label.pitch_classes())
         if not pcs:
             continue
-        t = np.arange(n0, n1) / SAMPLE_RATE
-        seg = np.zeros(n1 - n0)
-        for pc in pcs:
-            for octave in (3, 4):
-                base = FMIN * 2.0 ** (octave - 1) * 2.0 ** (pc / 12.0)
-                for harmonic in range(1, 5):
-                    phase = rng.uniform(0.0, 2.0 * np.pi)
-                    seg += np.sin(2.0 * np.pi * base * harmonic * t + phase) / harmonic
+        # Partial p is Im(amp[p] * exp(i * omega[p] * n)), omega in radians
+        # per sample. Splitting n = block start + offset factors the phasor
+        # into left (blocks, partials) and right (partials, _SYNTH_BLOCK), so
+        # the interval is Im(left @ right), taken as one real product.
+        fundamental = 2.0 * np.pi * FMIN * 4.0 * 2.0 ** (np.array(pcs) / 12.0) / SAMPLE_RATE
+        omega = np.outer(fundamental, _PARTIAL_K).ravel()
+        phases = rng.uniform(0.0, 2.0 * np.pi, omega.size)
+        amp = np.exp(1j * phases) / np.tile(_PARTIAL_HARMONIC, len(pcs))
+        starts = np.arange(n0, n1, _SYNTH_BLOCK)
+        left = amp * np.exp(1j * np.outer(starts, omega))
+        # Offset phasors of multiple k are the k-th powers of the fundamental's.
+        base = np.exp(1j * np.outer(fundamental, np.arange(_SYNTH_BLOCK)))
+        powers = np.cumprod(np.repeat(base[:, None], _PARTIAL_K.max(), axis=1), axis=1)
+        right = powers[:, _PARTIAL_K - 1].reshape(omega.size, _SYNTH_BLOCK)
+        seg = (np.hstack([left.real, left.imag]) @ np.vstack([right.imag, right.real])
+               ).ravel()[:n1 - n0]
         envelope = np.ones(n1 - n0)
         if fade > 0:
             m = min(fade, n1 - n0)
@@ -387,6 +404,8 @@ def make_random_progression(seed, duration_s=10.0, vocab=None):
     Chords last uniform(1, 2.5) seconds; each is no-chord with probability
     0.08, else a uniformly drawn chord class of the vocabulary.
     """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be a positive number of seconds, got {duration_s}")
     vocab = vocab or chords.MAJMIN_25
     n_real = 24 if vocab.name == "majmin" else 168
     rng = np.random.default_rng(seed)
@@ -401,21 +420,3 @@ def make_random_progression(seed, duration_s=10.0, vocab=None):
         out.append((t, end, label))
         t = end
     return chords.Annotation(tuple(out))
-
-
-def save_features(path, features, meta=None):
-    """Cache feature matrices in the shared tensor-blob container."""
-    arrays = [(f"features/{i:05d}", f.values.astype(np.float32)) for i, f in enumerate(features)]
-    record = dict(meta or {})
-    record.update({"count": len(features), "hop": HOP, "fmin": FMIN,
-                   "bins_per_octave": BINS_PER_OCTAVE})
-    return tensorio.write_tensors(path, tensorio.FEATURES_FORMAT, record, arrays)
-
-
-def load_features(path):
-    """Read a feature cache back as (meta, list of FeatureMatrix)."""
-    _, meta, arrays = tensorio.read_tensors(path, expect_format=tensorio.FEATURES_FORMAT)
-    count = int(meta["count"])
-    feats = [FeatureMatrix(np.asarray(arrays[f"features/{i:05d}"], dtype=np.float64))
-             for i in range(count)]
-    return meta, feats

@@ -256,6 +256,8 @@ def count_flops(cfg: ModelConfig, n_frames: int) -> int:
     Every stage costs a fixed amount per frame, so the total is exactly
     linear in n_frames.
     """
+    if n_frames < 1:
+        raise ValueError(f"need at least one frame, got {n_frames}")
     d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
     L = n_frames
     per_frame_block = (

@@ -8,8 +8,7 @@ loading checks both (containers written before the digest was recorded
 are checked on length only). Each file is written beside its target and
 renamed over it, blob first and manifest last, so a reader never sees a
 half-written file.
-Model checkpoints use the tag "bmace-ckpt-1"; feature caches reuse the same
-container with tag "bmace-feat-1".
+Model checkpoints use the tag "bmace-ckpt-1".
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_FORMAT = "bmace-ckpt-1"
-FEATURES_FORMAT = "bmace-feat-1"
 
 _DTYPE_TAG = "f32le"
 _F32 = np.dtype("<f4")

@@ -70,64 +70,13 @@ class TestParamsAndFlops:
         f216 = int(out.splitlines()[0])
         assert f216 == 2 * f108
 
-
-class TestFeaturesCommand:
-    def test_writes_cache_stats_and_manifest(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        make_audio_corpus(audio, 2)
-        out = tmp_path / "cache"
-        code, stdout, _ = run_cli(capsys, "features", str(audio), str(out))
-        assert code == cli.EXIT_OK
-        assert "2 feature matrices" in stdout
-        meta, feats = ft.load_features(out)
-        assert meta["names"] == ["song0", "song1"]
-        assert len(feats) == 2
-        stats = ft.NormStats.from_dict(meta["stats"])
-        assert stats.variance > 0
-        manifest = json.loads((tmp_path / "cache.manifest.json").read_text())
-        assert manifest["command"] == "features"
-        assert manifest["config"]["eps"] == ft.LOG_EPS
-        assert len(manifest["inputs"]) == 2
-
-    def test_rerun_is_bit_identical(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        make_audio_corpus(audio, 2)
-        out = tmp_path / "cache"
-        run_cli(capsys, "features", str(audio), str(out))
-        first = ((tmp_path / "cache.json").read_bytes(),
-                 (tmp_path / "cache.bin").read_bytes())
-        run_cli(capsys, "features", str(audio), str(out))
-        second = ((tmp_path / "cache.json").read_bytes(),
-                  (tmp_path / "cache.bin").read_bytes())
-        assert first == second
-
-    def test_empty_directory_is_a_usage_error(self, capsys, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        code, _, err = run_cli(capsys, "features", str(empty), str(tmp_path / "c"))
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    def test_nonpositive_frames_is_a_usage_error(self, capsys, frames):
+        code, out, err = run_cli(capsys, "flops", "--variant", "bmace",
+                                 "--frames", frames)
         assert code == cli.EXIT_USAGE
-        assert "no input" in err
-
-    def test_unreadable_wav_names_the_file(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        audio.mkdir()
-        bad = audio / "broken.wav"
-        bad.write_bytes(b"not a riff container")
-        code, _, err = run_cli(capsys, "features", str(audio), str(tmp_path / "c"))
-        assert code == cli.EXIT_USAGE
-        assert "broken.wav" in err
-
-    def test_stats_from_reuses_existing_stats(self, capsys, tmp_path):
-        make_audio_corpus(tmp_path / "a", 2, seed=0)
-        make_audio_corpus(tmp_path / "b", 2, seed=9)
-        run_cli(capsys, "features", str(tmp_path / "a"), str(tmp_path / "ca"))
-        code, _, _ = run_cli(capsys, "features", str(tmp_path / "b"),
-                             str(tmp_path / "cb"), "--stats-from",
-                             str(tmp_path / "ca"))
-        assert code == cli.EXIT_OK
-        meta_a, _ = ft.load_features(tmp_path / "ca")
-        meta_b, _ = ft.load_features(tmp_path / "cb")
-        assert meta_a["stats"] == meta_b["stats"]
+        assert out == ""
+        assert "frames" in err
 
 
 class TestTrainCommand:
@@ -186,6 +135,42 @@ class TestTrainCommand:
                                "--out", str(tmp_path / "m"))
         assert code == cli.EXIT_USAGE
         assert "song1" in err
+
+    def audio_train_args(self, audio, out):
+        return ["train", "--variant", "mace-v", "--audio", str(audio),
+                "--epochs", "1", "--out", str(out)]
+
+    def test_empty_audio_directory_is_a_usage_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, _, err = run_cli(capsys, *self.audio_train_args(empty, tmp_path / "m"))
+        assert code == cli.EXIT_USAGE
+        assert "no input" in err
+
+    def test_unreadable_wav_names_the_file(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        (audio / "song1.wav").write_bytes(b"not a riff container")
+        code, _, err = run_cli(capsys, *self.audio_train_args(audio, tmp_path / "m"))
+        assert code == cli.EXIT_USAGE
+        assert "song1.wav" in err
+
+    def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        ft.write_wav(audio / "song1.wav", ft.AudioClip(np.zeros(0)))
+        code, _, err = run_cli(capsys, *self.audio_train_args(audio, tmp_path / "m"))
+        assert code == cli.EXIT_USAGE
+        assert "song1.wav" in err
+
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan"])
+    def test_bad_duration_is_a_usage_error(self, capsys, tmp_path, duration):
+        args = self.train_args(tmp_path / "m")
+        args[args.index("--duration") + 1] = duration
+        code, _, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_USAGE
+        assert "duration" in err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestEvaluateCommand:
@@ -268,6 +253,20 @@ class TestEvaluateCommand:
         assert score is None or 0.0 <= score <= 1.0
         assert (tmp_path / "report.json").is_file()
         assert (tmp_path / "report.manifest.json").is_file()
+
+    def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        ft.write_wav(audio / "song0.wav", ft.AudioClip(np.zeros(0)))
+        cfg = md.ModelConfig(variant=md.MACE_V, n_classes=25)
+        ckpt = tmp_path / "model"
+        md.save_checkpoint(ckpt, cfg, md.init_model(cfg), extra_meta={
+            "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "song0.wav" in err
 
     def test_requires_one_complete_mode(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

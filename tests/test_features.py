@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bmace.features as ft
-from bmace.chords import MAJMIN_25, Annotation, parse_chord, parse_lab
+from bmace.chords import LARGE_170, MAJMIN_25, Annotation, parse_chord, parse_lab
 from bmace.features import (
     AudioClip,
     FeatureMatrix,
@@ -61,6 +61,40 @@ def cqt_per_bin(clip):
         windows = np.lib.stride_tricks.sliding_window_view(padded, n_b)[centers - n_b // 2]
         out[:, b] = np.abs(windows @ kernel)
     return out
+
+
+def synth_per_partial(progression, seed=0):
+    """Reference synthesis: one sine evaluation per partial over each interval."""
+    intervals = progression.intervals
+    rng = np.random.default_rng(seed)
+    total = int(round(intervals[-1][1] * SR))
+    fade = int(round(ft.FADE_SECONDS * SR))
+    signal = np.zeros(total)
+    for start_s, end_s, label in intervals:
+        n0 = min(int(round(start_s * SR)), total)
+        n1 = min(int(round(end_s * SR)), total)
+        pcs = sorted(label.pitch_classes())
+        if n1 <= n0 or not pcs:
+            continue
+        t = np.arange(n0, n1) / SR
+        seg = np.zeros(n1 - n0)
+        for pc in pcs:
+            for octave in (3, 4):
+                base = ft.FMIN * 2.0 ** (octave - 1) * 2.0 ** (pc / 12.0)
+                for harmonic in range(1, 5):
+                    phase = rng.uniform(0.0, 2.0 * np.pi)
+                    seg += np.sin(2.0 * np.pi * base * harmonic * t + phase) / harmonic
+        envelope = np.ones(n1 - n0)
+        m = min(fade, n1 - n0)
+        ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / fade))
+        envelope[:m] *= ramp
+        envelope[-m:] *= ramp[::-1]
+        signal[n0:n1] = seg * envelope
+    peak = np.abs(signal).max()
+    if peak > 0:
+        signal *= 0.5 / peak
+    signal += rng.normal(0.0, ft.NOISE_STD, total)
+    return signal
 
 
 def max_rel_diff(got, ref):
@@ -258,8 +292,6 @@ class TestLogAmplitude:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            log_amplitude(FeatureMatrix(np.ones((1, ft.N_BINS))), eps=0.0)
-        with pytest.raises(ValueError):
             log_amplitude(FeatureMatrix(-np.ones((1, ft.N_BINS))))
 
 
@@ -392,6 +424,38 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synth_chord_clip(prog)
 
+    @pytest.mark.parametrize("seed, seconds, vocab", [
+        (1, 10.0, MAJMIN_25),
+        (2, 240.0, MAJMIN_25),
+        (3, 60.0, LARGE_170),
+    ])
+    def test_matches_per_partial_reference(self, seed, seconds, vocab):
+        prog = make_random_progression(seed, duration_s=seconds, vocab=vocab)
+        got = synth_chord_clip(prog, seed=seed + 10).samples
+        assert np.max(np.abs(got - synth_per_partial(prog, seed=seed + 10))) <= 1e-9
+
+    def test_short_intervals_match_reference(self):
+        # Lengths in samples: under one fade (220), under two fades, under
+        # one block, and one either side of one and two blocks.
+        lengths = [100, 300, 1000, 1023, 1025, 2047, 2049, 3000]
+        bounds = np.concatenate([[0], np.cumsum(lengths)]) / SR
+        names = ["C", "A:min", "F#:maj", "Bb:min7", "E:7", "D:dim", "G:sus4", "C#:hdim7"]
+        prog = Annotation(tuple((float(s), float(e), parse_chord(name))
+                                for s, e, name in zip(bounds, bounds[1:], names)))
+        got = synth_chord_clip(prog, seed=4).samples
+        assert got.size == sum(lengths)
+        assert np.max(np.abs(got - synth_per_partial(prog, seed=4))) <= 1e-9
+
+    def test_no_chord_bytes_match_reference(self):
+        prog = parse_lab("0.0 10.0 N")
+        got = synth_chord_clip(prog, seed=1).samples
+        assert got.tobytes() == synth_per_partial(prog, seed=1).tobytes()
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+    def test_random_progression_rejects_bad_duration(self, seconds):
+        with pytest.raises(ValueError, match="duration"):
+            make_random_progression(1, duration_s=seconds)
+
     def test_random_progression_covers_duration(self):
         prog = make_random_progression(9, duration_s=10.0)
         assert prog.intervals[0][0] == 0.0
@@ -403,18 +467,3 @@ class TestSynthesis:
         a = make_random_progression(4)
         b = make_random_progression(4)
         assert a == b
-
-
-class TestFeatureCache:
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        feats = [FeatureMatrix(rng.normal(size=(12, ft.N_BINS))) for _ in range(3)]
-        path = tmp_path / "cache.json"
-        ft.save_features(path, feats, meta={"note": "test"})
-        meta, back = ft.load_features(path)
-        assert meta["count"] == 3
-        assert meta["note"] == "test"
-        assert len(back) == 3
-        # Cache is float32; round trip is exact at that precision.
-        for a, b in zip(feats, back):
-            assert np.array_equal(a.values.astype(np.float32), b.values.astype(np.float32))

@@ -278,6 +278,6 @@ class TestCheckpoint:
 
     def test_wrong_format_tag_rejected(self, tmp_path):
         base = tmp_path / "cache"
-        tensorio.write_tensors(base, tensorio.FEATURES_FORMAT, {}, [("x", np.ones(3))])
+        tensorio.write_tensors(base, "bmace-feat-1", {}, [("x", np.ones(3))])
         with pytest.raises(tensorio.BlobFormatError):
             md.load_checkpoint(base)
