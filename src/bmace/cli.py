@@ -61,8 +61,8 @@ class RunManifest:
 
     def write(self, base):
         path = tensorio.sibling(base, ".manifest.json")
-        path.write_text(json.dumps(asdict(self), indent=1) + "\n",
-                        encoding="utf-8")
+        tensorio.write_atomically(
+            path, (json.dumps(asdict(self), indent=1) + "\n").encode("utf-8"))
         return path
 
 
@@ -142,11 +142,11 @@ def cmd_train(args):
         "best_val_loss": result.best_val_loss,
     })
     history_path = tensorio.sibling(args.out, ".history.json")
-    history_path.write_text(json.dumps({
+    tensorio.write_atomically(history_path, (json.dumps({
         "history": list(result.history),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
-    }, indent=1) + "\n", encoding="utf-8")
+    }, indent=1) + "\n").encode("utf-8"))
     manifest = RunManifest(
         command="train",
         config={
@@ -238,7 +238,7 @@ def cmd_evaluate(args):
     print(text, end="")
     if args.out:
         out = Path(_ensure_parent(args.out))
-        out.write_text(text, encoding="utf-8")
+        tensorio.write_atomically(out, text.encode("utf-8"))
         manifest = RunManifest(
             command="evaluate",
             config={"ref": args.ref, "est": args.est, "model": args.model,

@@ -9,9 +9,14 @@ and runs over a whole song in one pass.
 
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
-in one real ``[Re | Im]`` matrix, so an octave is one real matrix
-product over blocks of frames. Kernels depend on the clip length only
-below the longest kernel (~1.04 s), so one plan serves every longer clip.
+in one real ``[Re | Im]`` kernel matrix. Frames start one hop apart, so
+the padded signal is read as a view of hop rows, and the kernel matrix
+is stored cut into hop-length pieces laid side by side plus a shorter
+tail. An octave is then one wide product of the hop rows with the
+pieces, summed along the diagonal of pieces, plus the tail rows' product
+with the tail; no frame's window is ever copied. Kernels depend on the
+clip length only below the longest kernel (~1.04 s), so one plan serves
+every longer clip.
 
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
@@ -170,13 +175,14 @@ def read_wav(path):
             raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
         frame_bytes = 2 * n_channels
         usable = len(body) - len(body) % frame_bytes
-        x = np.frombuffer(body[:usable], dtype="<i2").astype(np.float64) / 32767.0
+        x = np.frombuffer(body, dtype="<i2", count=usable // 2).astype(np.float64)
+        np.divide(x, 32767.0, out=x)
     elif audio_format == 3:
         if bits != 32:
             raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
         frame_bytes = 4 * n_channels
         usable = len(body) - len(body) % frame_bytes
-        x = np.frombuffer(body[:usable], dtype="<f4").astype(np.float64)
+        x = np.frombuffer(body, dtype="<f4", count=usable // 4).astype(np.float64)
     else:
         raise WavFormatError(f"unsupported audio format {audio_format}", fmt_pos)
 
@@ -184,7 +190,7 @@ def read_wav(path):
         x = x.reshape(-1, n_channels).mean(axis=1)
     if rate != SAMPLE_RATE:
         raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
-    return AudioClip(np.clip(x, -1.0, 1.0), int(rate))
+    return AudioClip(np.clip(x, -1.0, 1.0, out=x), int(rate))
 
 
 def write_wav(path, clip):
@@ -205,9 +211,11 @@ def n_frames(n_samples):
 _Q = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
 # Longest kernel (bin 0); every kernel is the same for clips this long or longer.
 N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
-# Frames gathered per matrix product: bounds the window copy at about
-# 64 * N_MAX * 8 bytes (12 MB) whatever the clip length.
-_CQT_BLOCK = 64
+# Frames per block of an octave's product. A block multiplies
+# _CQT_BLOCK + full - 1 hop rows by the pieces, so it recomputes the full - 1
+# rows it shares with the next block (4% at octave 0, where full is 11);
+# its largest product is about 266 * 528 * 8 bytes (1.1 MB).
+_CQT_BLOCK = 256
 
 _PLAN_CACHE = {}
 
@@ -220,38 +228,53 @@ _PARTIAL_K = np.array([1, 2, 3, 4, 2, 4, 6, 8])
 _PARTIAL_HARMONIC = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
 
 
-def _cqt_plan(n_samples):
-    """Per-octave real kernel matrices and the reflection pad for a clip length.
+def _octave_plan(lo, key):
+    """One octave's kernels in hop-row layout: (pieces, tail, n_oct).
 
-    Octave o's matrix has shape (n_oct, 48), n_oct being the octave's
-    longest kernel. Column j holds the real part and column 24 + j the
-    imaginary part of bin 24*o + j's kernel, zero-padded and centred at
-    row offset n_oct//2 - n_b//2. Plans are keyed on min(n_samples,
-    N_MAX), since kernel lengths are clamped to the clip length only
-    below N_MAX.
+    Think of the octave as a real (n_oct, 48) matrix, n_oct being its
+    longest kernel: column j holds the real part and column 24 + j the
+    imaginary part of bin lo + j's kernel, zero-padded and centred at row
+    offset n_oct//2 - n_b//2. Its first full*HOP rows, full being
+    (n_oct - 1) // HOP, are cut into HOP-row pieces laid side by side as
+    ``pieces`` (HOP, full*48), piece p in columns 48p to 48p + 47; the
+    remaining 1 to HOP rows are ``tail``. The matrix itself is never
+    built: each kernel column is written straight into the two.
+    """
+    width = 2 * BINS_PER_OCTAVE
+    freqs = [FMIN * 2.0 ** (b / BINS_PER_OCTAVE) for b in range(lo, lo + BINS_PER_OCTAVE)]
+    lengths = [min(math.ceil(_Q * SAMPLE_RATE / f), key) for f in freqs]
+    n_oct = max(lengths)
+    full = (n_oct - 1) // HOP
+    pieces = np.zeros((HOP, full, width))
+    tail = np.zeros((n_oct - full * HOP, width))
+    column = np.empty(n_oct)
+    for j, (freq, n_b) in enumerate(zip(freqs, lengths)):
+        window = np.hanning(n_b) if n_b > 1 else np.ones(1)
+        phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
+        kernel = window * phase / n_b
+        off = n_oct // 2 - n_b // 2
+        for c, part in ((j, kernel.real), (BINS_PER_OCTAVE + j, kernel.imag)):
+            column[:] = 0.0
+            column[off:off + n_b] = part
+            pieces[:, :, c] = column[:full * HOP].reshape(full, HOP).T
+            tail[:, c] = column[full * HOP:]
+    return pieces.reshape(HOP, full * width), tail, n_oct
+
+
+def _cqt_plan(n_samples):
+    """Per-octave kernel pieces (``_octave_plan``) and the reflection pad.
+
+    Plans are keyed on min(n_samples, N_MAX), since kernel lengths are
+    clamped to the clip length only below N_MAX. Octaves are built one
+    at a time, so building holds little more than the plan it keeps.
     """
     key = min(n_samples, N_MAX)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    matrices = []
-    for lo in range(0, N_BINS, BINS_PER_OCTAVE):
-        kernels = []
-        for b in range(lo, lo + BINS_PER_OCTAVE):
-            freq = FMIN * 2.0 ** (b / BINS_PER_OCTAVE)
-            n_b = min(math.ceil(_Q * SAMPLE_RATE / freq), key)
-            window = np.hanning(n_b) if n_b > 1 else np.ones(1)
-            phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
-            kernels.append(window * phase / n_b)
-        n_oct = max(k.size for k in kernels)
-        matrix = np.zeros((n_oct, 2 * BINS_PER_OCTAVE))
-        for j, k in enumerate(kernels):
-            off = n_oct // 2 - k.size // 2
-            matrix[off:off + k.size, j] = k.real
-            matrix[off:off + k.size, BINS_PER_OCTAVE + j] = k.imag
-        matrices.append(matrix)
-    pad = max(m.shape[0] for m in matrices) // 2 + 1
-    plan = (matrices, pad)
+    octaves = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
+    pad = max(n_oct for _, _, n_oct in octaves) // 2 + 1
+    plan = (octaves, pad)
     if len(_PLAN_CACHE) < 64:
         _PLAN_CACHE[key] = plan
     return plan
@@ -263,28 +286,40 @@ def cqt(clip):
     Bin b has center frequency fmin * 2**(b/24) and window length
     min(ceil(Q*sr/f_b), len) under a Hann window, normalized by the
     window length. The signal is reflection-padded so every frame
-    center has a full window. Each octave is one real product of the
-    frames' windows with its ``[Re | Im]`` kernel matrix, taken
-    ``_CQT_BLOCK`` frames at a time; a bin's magnitude is the hypot of
-    its two columns.
+    center has a full window. Frames start one hop apart, so for each
+    octave the padded signal, read from frame 0's window start, is a
+    view of HOP-sample rows, and frame t's window is rows t to
+    t + full - 1 followed by the first len(tail) samples of row t + full.
+    One product ``rows @ pieces`` then gives every row times every
+    piece; frame t sums row t + p's product with piece p over p, and
+    adds its tail row times ``tail``. A bin's magnitude is the hypot of
+    its real and imaginary columns.
     """
     if clip.samples.size < 1:
         raise ValueError("cannot transform an empty clip")
     if clip.sample_rate != SAMPLE_RATE:
         raise UnsupportedRateError(f"sample rate {clip.sample_rate} unsupported, expected {SAMPLE_RATE}")
     x = clip.samples
-    matrices, pad = _cqt_plan(x.size)
+    octaves, pad = _cqt_plan(x.size)
     padded = np.pad(x, pad, mode="reflect")
     frames = n_frames(x.size)
-    centers = np.arange(frames) * HOP + pad
+    width = 2 * BINS_PER_OCTAVE
     out = np.empty((frames, N_BINS))
-    for lo, matrix in zip(range(0, N_BINS, BINS_PER_OCTAVE), matrices):
-        n_oct = matrix.shape[0]
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n_oct)
-        starts = centers - n_oct // 2
+    for lo, (pieces, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
+        full = pieces.shape[1] // width
+        start = pad - n_oct // 2
+        n_rows = (padded.size - start) // HOP
+        rows = padded[start:start + n_rows * HOP].reshape(n_rows, HOP)
+        # tails[t]: the last len(tail) samples of frame t's window.
+        tails = np.lib.stride_tricks.sliding_window_view(
+            padded, len(tail))[start + full * HOP::HOP]
         for t in range(0, frames, _CQT_BLOCK):
-            y = windows[starts[t:t + _CQT_BLOCK]] @ matrix
-            out[t:t + _CQT_BLOCK, lo:lo + BINS_PER_OCTAVE] = np.hypot(
+            f = min(_CQT_BLOCK, frames - t)
+            y = tails[t:t + f] @ tail
+            z = rows[t:t + f + full - 1] @ pieces
+            for p in range(full):
+                y += z[p:p + f, p * width:(p + 1) * width]
+            out[t:t + f, lo:lo + BINS_PER_OCTAVE] = np.hypot(
                 y[:, :BINS_PER_OCTAVE], y[:, BINS_PER_OCTAVE:])
     return FeatureMatrix(out)
 

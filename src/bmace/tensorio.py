@@ -50,7 +50,8 @@ def blob_path(path) -> Path:
     return sibling(path, ".bin")
 
 
-def _write_atomically(path: Path, data: bytes) -> None:
+def write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -91,8 +92,8 @@ def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     mpath, bpath = manifest_path(path), blob_path(path)
-    _write_atomically(bpath, blob)
-    _write_atomically(mpath, (json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
+    write_atomically(bpath, blob)
+    write_atomically(mpath, (json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
     return mpath, bpath
 
 

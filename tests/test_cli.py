@@ -1,6 +1,8 @@
 """CLI tests: exit codes, manifests, determinism, module-oracle agreement."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,22 @@ def make_audio_corpus(directory, n_songs, seed=0, duration_s=2.0):
         clip = ft.synth_chord_clip(progression, seed=seed + 100 + i)
         ft.write_wav(directory / f"song{i}.wav", clip)
         write_lab(directory / f"song{i}.lab", progression)
+
+
+def fail_on(monkeypatch, target):
+    """Make os.replace raise when it would rename a file over ``target``."""
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == target:
+            raise OSError("disk full")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def no_temporary_files(root):
+    return not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
 
 
 class TestParamsAndFlops:
@@ -121,6 +139,18 @@ class TestTrainCommand:
             assert manifest["seeds"] == {"seed": seed}
             assert manifest["outputs"][0] == str(run / f"{name}.json")
 
+    @pytest.mark.parametrize("suffix", [".history.json", ".manifest.json"])
+    def test_failed_write_keeps_earlier_file(self, capsys, tmp_path, monkeypatch, suffix):
+        out = tmp_path / "run" / "model"
+        assert run_cli(capsys, *self.train_args(out))[0] == cli.EXIT_OK
+        target = tmp_path / "run" / f"model{suffix}"
+        before = target.read_bytes()
+        fail_on(monkeypatch, target)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(capsys, *self.train_args(out, seed=1))
+        assert target.read_bytes() == before
+        assert no_temporary_files(tmp_path)
+
     def test_invalid_variant_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--variant", "nope", "--out", str(tmp_path / "x")])
@@ -189,6 +219,24 @@ class TestEvaluateCommand:
         report = json.loads(out)
         for kind in mt.COMPARATORS:
             assert report["aggregate"]["weighted"][kind] == 1.0
+
+    def test_failed_report_write_keeps_earlier_report(self, capsys, tmp_path, monkeypatch):
+        ref = tmp_path / "ref"
+        est = tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        (ref / "s1.lab").write_text("0.0 1.5 C:maj\n1.5 3.0 A:min\n")
+        (est / "s1.lab").write_text("0.0 3.0 C:maj\n")
+        report = tmp_path / "report.json"
+        args = ["evaluate", "--ref", str(ref), "--est", str(est), "--out", str(report)]
+        assert run_cli(capsys, *args)[0] == cli.EXIT_OK
+        before = report.read_bytes()
+        (est / "s1.lab").write_text("0.0 1.5 C:maj\n1.5 3.0 A:min\n")
+        fail_on(monkeypatch, report)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(capsys, *args)
+        assert report.read_bytes() == before
+        assert no_temporary_files(tmp_path)
 
     def test_missing_song_id_is_named(self, capsys, tmp_path):
         ref = tmp_path / "ref"

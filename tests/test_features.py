@@ -178,6 +178,22 @@ class TestWavIO:
         with pytest.raises(WavFormatError, match="data"):
             read_wav(path)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm16_decode_bytes_match_reference(self, tmp_path, channels):
+        # Every int16 value, -32768 included, which decodes below -1 and is clipped.
+        codes = np.arange(-32768, 32768, dtype="<i2")
+        path = tmp_path / "all.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(2)
+            w.setframerate(SR)
+            w.writeframes(codes.tobytes())
+        ref = codes.astype(np.float64) / 32767.0
+        if channels > 1:
+            ref = ref.reshape(-1, channels).mean(axis=1)
+        ref = np.clip(ref, -1.0, 1.0)
+        assert read_wav(path).samples.tobytes() == ref.tobytes()
+
     def test_audio_clip_validates(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros((2, 2)))
@@ -237,12 +253,29 @@ class TestCqt:
         clip = synth_chord_clip(make_random_progression(5, duration_s=12.0), seed=5)
         assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
 
-    @pytest.mark.parametrize("samples", [1, 100, 2047, 2048, 2049, 23010, 23011, 23012, 30000])
+    @pytest.mark.parametrize("samples", [
+        1, 100, 2047, 2048, 2049, 23010, 23011, 23012, 30000,
+        *((frames - 1) * ft.HOP + extra for frames in (255, 256, 257, 513) for extra in (0, 2047)),
+    ])
     def test_noise_matches_per_bin_reference(self, samples):
         # Below N_MAX some kernels are clamped to the clip length, so an
-        # octave can mix clamped and unclamped bins.
+        # octave can mix clamped and unclamped bins. 255 to 513 frames
+        # straddle one and two _CQT_BLOCK blocks; with 2,047 extra samples
+        # the last frame's tail row ends at the end of the padded signal.
         clip = AudioClip(np.random.default_rng(samples).uniform(-0.5, 0.5, samples))
         assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
+
+    def test_plan_build_holds_little_more_than_the_plan(self, monkeypatch):
+        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        tracemalloc.start()
+        try:
+            octaves, _ = ft._cqt_plan(ft.N_MAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(pieces.nbytes + tail.nbytes for pieces, tail, _ in octaves)
+        assert kept > 17e6
+        assert peak <= 1.1 * kept
 
     def test_one_plan_for_every_long_clip(self, monkeypatch):
         assert ft.N_MAX == 23011
