@@ -17,6 +17,7 @@ score denominators.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 SKIP = -1
@@ -271,6 +272,7 @@ class Annotation:
 
     def __post_init__(self):
         prev_end = 0.0
+        ends = []
         for entry in self.intervals:
             start, end, label = entry
             if start < 0:
@@ -282,6 +284,8 @@ class Annotation:
             if not isinstance(label, ChordLabel):
                 raise TypeError("interval labels must be ChordLabel")
             prev_end = end
+            ends.append(end)
+        object.__setattr__(self, "_ends", tuple(ends))
 
     @property
     def duration(self):
@@ -289,9 +293,10 @@ class Annotation:
 
     def label_at(self, t):
         """Label active at time ``t``; no-chord outside every interval."""
-        for start, end, label in self.intervals:
-            if start <= t < end:
-                return label
+        # Ends strictly increase: only the first interval ending after t can hold it.
+        i = bisect_right(self._ends, t)
+        if i < len(self.intervals) and self.intervals[i][0] <= t:
+            return self.intervals[i][2]
         return ChordLabel.no_chord()
 
 
@@ -400,24 +405,16 @@ def class_to_label(class_id, vocab):
     raise ValueError(f"unknown vocabulary {vocab.name!r}")
 
 
-def framewise_targets(annotation, n_frames, vocab):
-    """Class id per frame, taking the label active at each frame center.
+def frame_time(t):
+    """Center of frame ``t`` in s: t * hop / sample rate, in that order."""
+    return t * 2048 / 22050
 
-    Frame t is centered at t*2048/22050 s (the feature hop over the sample
-    rate), computed in that order. Intervals are half-open, so a
-    boundary landing exactly on a center belongs to the later interval.
-    Time beyond the annotation is no-chord.
+
+def framewise_targets(annotation, n_frames, vocab):
+    """Class id per frame: the label active at each ``frame_time``.
+
+    Intervals are half-open, so a boundary landing exactly on a center
+    belongs to the later interval. Gaps and time beyond the annotation
+    are no-chord.
     """
-    no_chord = to_class(ChordLabel.no_chord(), vocab)
-    intervals = annotation.intervals
-    out = []
-    idx = 0
-    for t in range(n_frames):
-        time = t * 2048 / 22050
-        while idx < len(intervals) and intervals[idx][1] <= time:
-            idx += 1
-        if idx < len(intervals) and intervals[idx][0] <= time < intervals[idx][1]:
-            out.append(to_class(intervals[idx][2], vocab))
-        else:
-            out.append(no_chord)
-    return out
+    return [to_class(annotation.label_at(frame_time(t)), vocab) for t in range(n_frames)]

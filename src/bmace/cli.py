@@ -94,22 +94,21 @@ def _load_lab(path):
         raise CliError(f"{path}: {exc}") from exc
 
 
-# --------------------------------------------------------------------------
-# train
-
-def _corpus_from_audio(audio_dir, vocab):
+def _audio_lab_pairs(audio_dir):
+    """(stem, log-amplitude CQT, sibling ``.lab``) per WAV of ``audio_dir``."""
     audio_dir = Path(audio_dir)
     wavs = sorted(audio_dir.glob("*.wav"))
     if not wavs:
         raise CliError(f"no input WAV files in {audio_dir}")
-    corpus = []
     for wav in wavs:
         lab = wav.with_suffix(".lab")
         if not lab.is_file():
-            raise CliError(f"missing annotation for {wav.stem}: {lab}")
-        feats = ft.log_amplitude(ft.cqt(_read_clip(wav)))
-        corpus.append(tr.ClipExample(wav.stem, feats, _load_lab(lab)))
-    return corpus
+            raise CliError(f"missing annotation for song id {wav.stem!r}: {lab}")
+        yield wav.stem, ft.log_amplitude(ft.cqt(_read_clip(wav))), _load_lab(lab)
+
+
+# --------------------------------------------------------------------------
+# train
 
 
 def cmd_train(args):
@@ -117,7 +116,8 @@ def cmd_train(args):
     vocab = chords.VOCABS[args.vocab]
     try:
         if args.audio:
-            corpus = _corpus_from_audio(args.audio, vocab)
+            corpus = [tr.ClipExample(stem, feats, ann)
+                      for stem, feats, ann in _audio_lab_pairs(args.audio)]
         else:
             corpus = tr.make_synthetic_corpus(args.synthetic, vocab, args.seed,
                                               duration_s=args.duration)
@@ -209,19 +209,8 @@ def _estimate_pairs_from_model(ckpt_path, audio_dir):
         raise CliError(f"checkpoint {ckpt_path} lacks normalization stats or vocabulary")
     stats = ft.NormStats.from_dict(meta["stats"])
     vocab = chords.VOCABS[meta["vocab"]]
-    audio_dir = Path(audio_dir)
-    wavs = sorted(audio_dir.glob("*.wav"))
-    if not wavs:
-        raise CliError(f"no input WAV files in {audio_dir}")
-    pairs = {}
-    for wav in wavs:
-        lab = wav.with_suffix(".lab")
-        if not lab.is_file():
-            raise CliError(f"missing reference for song id {wav.stem!r}: {lab}")
-        feats = ft.log_amplitude(ft.cqt(_read_clip(wav)))
-        est = tr.predict_annotation(params, cfg, stats, feats, vocab)
-        pairs[wav.stem] = (_load_lab(lab), est)
-    return pairs
+    return {stem: (ref, tr.predict_annotation(params, cfg, stats, feats, vocab))
+            for stem, feats, ref in _audio_lab_pairs(audio_dir)}
 
 
 def cmd_evaluate(args):

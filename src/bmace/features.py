@@ -264,9 +264,9 @@ def _octave_plan(lo, key):
 def _cqt_plan(n_samples):
     """Per-octave kernel pieces (``_octave_plan``) and the reflection pad.
 
-    Plans are keyed on min(n_samples, N_MAX), since kernel lengths are
-    clamped to the clip length only below N_MAX. Octaves are built one
-    at a time, so building holds little more than the plan it keeps.
+    Kernels are clamped to the clip length only below N_MAX, so only the
+    N_MAX plan, which serves every longer clip, is cached. Octaves are
+    built one at a time: building holds little more than the plan.
     """
     key = min(n_samples, N_MAX)
     plan = _PLAN_CACHE.get(key)
@@ -275,7 +275,7 @@ def _cqt_plan(n_samples):
     octaves = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
     pad = max(n_oct for _, _, n_oct in octaves) // 2 + 1
     plan = (octaves, pad)
-    if len(_PLAN_CACHE) < 64:
+    if key == N_MAX:
         _PLAN_CACHE[key] = plan
     return plan
 

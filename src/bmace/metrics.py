@@ -182,12 +182,11 @@ def evaluate_all(ref, est):
 def frames_to_annotation(classes, vocab):
     """Merge a framewise class sequence into an interval annotation.
 
-    Each frame owns 2048/22050 s (the feature hop); consecutive identical classes fuse.
-    SKIP entries become unknown labels.
+    Frame t owns [frame_time(t), frame_time(t + 1)), so ``framewise_targets``
+    reads ``classes`` back. Runs of one class fuse; SKIP becomes unknown.
     """
     if len(classes) == 0:
         raise ValueError("empty class sequence")
-    width = 2048 / 22050
     intervals = []
     run_start = 0
     for t in range(1, len(classes) + 1):
@@ -198,7 +197,7 @@ def frames_to_annotation(classes, vocab):
             label = chords.ChordLabel.unknown()
         else:
             label = chords.parse_chord(chords.class_to_label(class_id, vocab))
-        intervals.append((run_start * width, t * width, label))
+        intervals.append((chords.frame_time(run_start), chords.frame_time(t), label))
         run_start = t
     return chords.Annotation(tuple(intervals))
 

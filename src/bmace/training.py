@@ -215,6 +215,26 @@ def _loss_and_grads(named, model_cfg, feats, targets):
     return float(loss.data), {name: g.data for name, g in zip(tensors, grads)}
 
 
+def _adam_batch_step(named, state, model_cfg, train_cfg, segments):
+    """Adam step on the clipped mean gradient, summed from zeros in order.
+
+    Returns (named, state, per-segment losses, pre-clip gradient norm).
+    """
+    acc = {name: np.zeros_like(arr) for name, arr in named.items()}
+    losses = []
+    for feats, targets in segments:
+        loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
+        if not math.isfinite(loss_value):
+            raise TrainingDivergedError("non-finite training loss")
+        for name, g in grads.items():
+            acc[name] += g
+        losses.append(loss_value)
+    mean_grads = {name: g / len(segments) for name, g in acc.items()}
+    clipped, norm = clip_gradients(mean_grads, CLIP_NORM)
+    named, state = adam_step(named, clipped, state, train_cfg)
+    return named, state, losses, norm
+
+
 def _evaluate_split(named, model_cfg, segments):
     """(mean loss, framewise accuracy) over a list of segments, no tape."""
     params = _params_from_arrays(named)
@@ -268,28 +288,15 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
         loss_n = 0
         norms = []
         for lo in range(0, len(perm), train_cfg.batch_size):
-            batch = perm[lo:lo + train_cfg.batch_size]
-            acc = {name: np.zeros_like(arr) for name, arr in named.items()}
-            contributing = 0
-            for index in batch:
-                feats, targets = train_segments[index]
-                if not (targets != SKIP).any():
-                    continue
-                loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
-                if not math.isfinite(loss_value):
-                    raise TrainingDivergedError(
-                        f"non-finite training loss at epoch {epoch}")
-                for name, g in grads.items():
-                    acc[name] += g
-                contributing += 1
-                loss_sum += loss_value
-                loss_n += 1
-            if contributing == 0:
+            batch = [train_segments[i] for i in perm[lo:lo + train_cfg.batch_size]]
+            scorable = [seg for seg in batch if (seg[1] != SKIP).any()]
+            if not scorable:
                 continue
-            mean_grads = {name: g / contributing for name, g in acc.items()}
-            clipped, norm = clip_gradients(mean_grads, CLIP_NORM)
+            named, state, losses, norm = _adam_batch_step(
+                named, state, model_cfg, train_cfg, scorable)
             norms.append(norm)
-            named, state = adam_step(named, clipped, state, train_cfg)
+            loss_sum = sum(losses, loss_sum)
+            loss_n += len(losses)
         seconds = time.perf_counter() - started
 
         val_loss, val_accuracy = _evaluate_split(named, model_cfg, val_segments)
@@ -331,12 +338,9 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     named, state = _init_training(model_cfg)
     losses = []
     for _ in range(steps):
-        loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
-        if not math.isfinite(loss_value):
-            raise TrainingDivergedError("non-finite loss during overfit probe")
+        named, state, (loss_value,), _ = _adam_batch_step(
+            named, state, model_cfg, cfg, [(feats, targets)])
         losses.append(loss_value)
-        clipped, _ = clip_gradients(grads, CLIP_NORM)
-        named, state = adam_step(named, clipped, state, cfg)
         if stop_below is not None and loss_value < stop_below:
             break
     return _params_from_arrays(named), losses

@@ -19,6 +19,14 @@ from bmace.chords import (
 )
 
 
+def scan_label_at(annotation, t):
+    """Reference lookup: the first interval holding ``t``, else no-chord."""
+    for start, end, label in annotation.intervals:
+        if start <= t < end:
+            return label
+    return ChordLabel.no_chord()
+
+
 class TestParseChord:
     def test_bare_root_is_major(self):
         label = parse_chord("C")
@@ -187,6 +195,23 @@ class TestParseLab:
         assert ann.label_at(0.5).quality == "maj"
         assert ann.label_at(2.0).is_no_chord
 
+    @pytest.mark.parametrize("t", [
+        -1.0, 0.0, 0.4, 0.5, 0.9, 1.0, 1.5, 2.0, 2.5, 3.0, 3.0000001, 3.5, 4.0, 9.0,
+        float("inf"), float("-inf"), float("nan"),
+    ])
+    def test_label_at_matches_linear_scan(self, t):
+        # Starts after 0, a boundary at 1.0, a gap [2.0, 3.0), last end 4.0.
+        ann = Annotation((
+            (0.5, 1.0, parse_chord("C:maj")),
+            (1.0, 2.0, parse_chord("A:min")),
+            (3.0, 4.0, parse_chord("G:7")),
+        ))
+        assert ann.label_at(t) == scan_label_at(ann, t)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 5.0])
+    def test_empty_annotation_is_no_chord(self, t):
+        assert Annotation(()).label_at(t).is_no_chord
+
 
 class TestVocabularies:
     def test_sizes(self):
@@ -316,7 +341,7 @@ class TestFramewiseTargets:
         for vocab in (MAJMIN_25, LARGE_170):
             targets = framewise_targets(ann, 108, vocab)
             for t, got in enumerate(targets):
-                expected = to_class(ann.label_at(t * self.HOP / self.SR), vocab)
+                expected = to_class(scan_label_at(ann, t * self.HOP / self.SR), vocab)
                 assert got == expected
 
     def test_tail_beyond_annotation_is_no_chord(self):

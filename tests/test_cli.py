@@ -60,6 +60,13 @@ def no_temporary_files(root):
     return not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
 
 
+def untrained_checkpoint(path):
+    cfg = md.ModelConfig(variant=md.MACE_V, n_classes=25)
+    md.save_checkpoint(path, cfg, md.init_model(cfg), extra_meta={
+        "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
+    return path
+
+
 class TestParamsAndFlops:
     def variant_count(self, capsys, variant, vocab):
         code, out, _ = run_cli(capsys, "params", "--variant", variant,
@@ -164,7 +171,7 @@ class TestTrainCommand:
                                "--audio", str(audio), "--epochs", "1",
                                "--out", str(tmp_path / "m"))
         assert code == cli.EXIT_USAGE
-        assert "song1" in err
+        assert "song1.lab" in err
 
     def audio_train_args(self, audio, out):
         return ["train", "--variant", "mace-v", "--audio", str(audio),
@@ -306,15 +313,33 @@ class TestEvaluateCommand:
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 2)
         ft.write_wav(audio / "song0.wav", ft.AudioClip(np.zeros(0)))
-        cfg = md.ModelConfig(variant=md.MACE_V, n_classes=25)
-        ckpt = tmp_path / "model"
-        md.save_checkpoint(ckpt, cfg, md.init_model(cfg), extra_meta={
-            "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
+        ckpt = untrained_checkpoint(tmp_path / "model")
         code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
                                  "--audio", str(audio))
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "song0.wav" in err
+
+    def test_missing_reference_lab_names_the_file(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        (audio / "song1.lab").unlink()
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "song1.lab" in err
+
+    def test_empty_audio_directory_is_a_usage_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(empty))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "no input WAV files" in err
 
     def test_requires_one_complete_mode(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

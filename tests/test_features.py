@@ -286,6 +286,24 @@ class TestCqt:
             cqt(AudioClip(rng.uniform(-0.5, 0.5, ft.N_MAX + 1 + 997 * k)))
         assert len(ft._PLAN_CACHE) == 1
 
+    def test_short_clip_plans_are_not_kept(self, monkeypatch):
+        # Each short-clip plan serves one length only; caching them held
+        # about 16 MB per distinct length.
+        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        lengths = [16_000 + 797 * k for k in range(8)]
+        rng = np.random.default_rng(12)
+        clips = [AudioClip(rng.uniform(-0.5, 0.5, n)) for n in lengths]
+        tracemalloc.start()
+        try:
+            for clip in clips:
+                cqt(clip)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ft._PLAN_CACHE == {}
+        octaves, _ = ft._cqt_plan(max(lengths))
+        assert held <= sum(pieces.nbytes + tail.nbytes for pieces, tail, _ in octaves)
+
     def test_memory_bounded_on_long_clip(self):
         # A 45-s clip: copying every frame's window per bin peaked at 264 MB.
         clip = AudioClip(np.random.default_rng(4).uniform(-0.5, 0.5, int(45.1 * SR)))

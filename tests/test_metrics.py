@@ -313,6 +313,18 @@ class TestFramesToAnnotation:
         ann = frames_to_annotation(classes, MAJMIN_25)
         assert framewise_targets(ann, len(classes), MAJMIN_25) == classes
 
+    def test_round_trip_for_every_run_start(self):
+        # Both directions place frame t at chords.frame_time(t), so a
+        # boundary at any frame reads back on that frame.
+        from bmace.chords import framewise_targets
+        wrong = []
+        for k in range(1, 3000):
+            classes = [0] * k + [5]
+            ann = frames_to_annotation(classes, MAJMIN_25)
+            if framewise_targets(ann, k + 1, MAJMIN_25) != classes:
+                wrong.append(k)
+        assert wrong == []
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             frames_to_annotation([], MAJMIN_25)

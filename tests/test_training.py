@@ -352,6 +352,12 @@ class TestOverfit:
         _, losses = tr.overfit_segment(cfg, feats, targets, steps=50, stop_below=100.0)
         assert len(losses) == 1
 
+    def test_all_skip_segment_raises(self):
+        feats = np.zeros((8, 144), dtype=np.float32)
+        targets = np.full(8, tr.SKIP, dtype=np.int64)
+        with pytest.raises(ValueError, match="masked out"):
+            tr.overfit_segment(tiny_config(n_classes=3), feats, targets, steps=3)
+
     def test_nan_features_raise_diverged(self):
         feats = np.full((8, 144), np.nan, dtype=np.float32)
         targets = np.zeros(8, dtype=np.int64)
