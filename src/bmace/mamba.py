@@ -11,10 +11,19 @@ Bbar[t,c,j] = delta[t,c] * B[t,j] (simplified Euler rule). A is kept
 strictly negative through the A = -exp(A_log) parameterization, so every
 Abar entry lies in (0,1) and the hidden state stays bounded.
 
-Two scan evaluators are provided. The sequential one ("seq") is what
-training and inference run: one in-place pass over time, with the state
-written over the Bbar*u buffer. The chunked associative scan ("assoc"),
-built on the first-order-recurrence combinator
+The scan works through time in chunks of SCAN_CHUNK frames, with the
+state held in (time, state, channel) layout so that the channel axis is
+innermost in every product. Per chunk it discretizes, adds Abar times the
+previous chunk's last state to the first frame, runs the recurrence and
+reads out C.h, so each chunk's operands stay in cache. While a tape
+records, every chunk's Abar and h are kept for the adjoint, which walks
+the chunks in reverse and recomputes nothing; otherwise one chunk of
+state buffers is reused and only the carry row outlives its chunk.
+
+Two evaluators run the recurrence inside each chunk. The sequential one
+("seq") is what training and inference run: one in-place pass over time,
+with the state written over the Bbar*u buffer. The associative scan
+("assoc"), built on the first-order-recurrence combinator
 (a,b) o (a',b') = (a*a', a'*b + b'), is kept as the reference the
 acceptance gate checks the sequential scan against. They agree to within
 roundoff and both back-propagate through a hand-derived adjoint (itself a
@@ -36,6 +45,7 @@ from .numerics import (
     matmul,
     mul,
     record_op,
+    recording,
     reverse_time,
     rmsnorm,
     silu,
@@ -45,6 +55,7 @@ from .numerics import (
 
 RMSNORM_EPS = 1e-5
 ASSOC_CHUNK = 64
+SCAN_CHUNK = 32
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -64,9 +75,11 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq") -> np.nda
     L = a.shape[0]
     if impl == "seq":
         step = np.empty(b.shape[1:], dtype=b.dtype)
-        for t in range(1, L):
-            np.multiply(a[t], b[t - 1], out=step)
-            b[t] += step
+        prev = b[0]
+        for a_t, b_t in zip(a[1:], b[1:]):
+            np.multiply(a_t, prev, out=step)
+            b_t += step
+            prev = b_t
         return b
     if impl != "assoc":
         raise ValueError(f"unknown scan implementation {impl!r}")
@@ -118,39 +131,73 @@ def _scan(inputs: ScanInputs, A: Tensor, D: Tensor, impl: str) -> Tensor:
     if D.shape != (d,):
         raise ShapeError(f"D must be ({d},), got {D.shape}")
 
-    u_d, delta_d, B_d, C_d, A_d, D_d = u.data, delta.data, B.data, C.data, A.data, D.data
-    # Discretize: Abar = exp(delta * A), Bbar * u = delta * u * B. The state
-    # h is written over the Bbar * u buffer.
-    abar = delta_d[:, :, None] * A_d[None, :, :]
-    np.exp(abar, out=abar)
+    u_d, delta_d, B_d, C_d, D_d = u.data, delta.data, B.data, C.data, D.data
+    A_t = np.ascontiguousarray(A.data.T)
+    # Discretize: Abar = exp(delta * A), Bbar * u = delta * u * B, in
+    # (time, state, channel) layout. The state h is written over the
+    # Bbar * u buffer. A recording tape keeps every chunk for the adjoint;
+    # otherwise one chunk-sized pair of buffers is reused.
+    taped = recording()
+    rows = L if taped else min(L, SCAN_CHUNK)
+    abar = np.empty((rows, n, d), dtype=u_d.dtype)
+    h = np.empty((rows, n, d), dtype=u_d.dtype)
     du = delta_d * u_d
-    h = du[:, :, None] * B_d[:, None, :]
-    linear_recurrence(abar, h, impl=impl)
-    y = (h @ C_d[:, :, None])[:, :, 0] + D_d[None, :] * u_d
+    y = np.empty((L, d), dtype=u_d.dtype)
+    last = np.zeros((n, d), dtype=u_d.dtype)
+    for s in range(0, L, SCAN_CHUNK):
+        e = min(s + SCAN_CHUNK, L)
+        a_c, h_c = (abar[s:e], h[s:e]) if taped else (abar[:e - s], h[:e - s])
+        np.einsum("td,nd->tnd", delta_d[s:e], A_t, out=a_c)
+        np.exp(a_c, out=a_c)
+        # Read before h_c is refilled: untaped, last is a row of it.
+        carry = a_c[0] * last
+        np.einsum("tn,td->tnd", B_d[s:e], du[s:e], out=h_c)
+        h_c[0] += carry
+        linear_recurrence(a_c, h_c, impl=impl)
+        last = h_c[-1]
+        y_c = y[s:e]
+        np.matmul(C_d[s:e, None, :], h_c, out=y_c[:, None, :])
+        y_c += D_d * u_d[s:e]
     out = Tensor._wrap(y)
 
     def vjp(gy):
         # Adjoint of the recurrence: gh[t] = v[t] + Abar[t+1] * gh[t+1] with
-        # v[t] = gy[t] x C[t]. q[t] = Abar[t] * gh[t] obeys the reverse-time
+        # v[t] = C[t] x gy[t]. q[t] = Abar[t] * gh[t] obeys the reverse-time
         # recurrence q[t] = Abar[t] * q[t+1] + Abar[t] * v[t], whose
-        # coefficients line up with Abar, so it runs on reversed views.
-        gh = gy[:, :, None] * C_d[:, None, :]
-        q = abar * gh
-        linear_recurrence(abar[::-1], q[::-1], impl=impl)
-        gh[:-1] += q[1:]
-        # dLoss/dAbar[t] * Abar[t] = gh[t] * h[t-1] * Abar[t] = q[t] * h[t-1],
-        # zero at t = 0 where h[-1] = 0; shared by gdelta and gA.
-        g_log_abar = q[1:]
-        g_log_abar *= h[:-1]
-        g_du = (gh @ B_d[:, :, None])[:, :, 0]
+        # coefficients line up with Abar, so it runs on reversed views,
+        # chunk by chunk from the end, carrying q at the following chunk's
+        # first frame.
+        g_du = np.empty((L, d), dtype=gy.dtype)
+        gdelta = np.empty((L, d), dtype=gy.dtype)
+        gB = np.empty((L, n), dtype=gy.dtype)
+        gC = np.empty((L, n), dtype=gy.dtype)
+        gA_t = np.zeros((n, d), dtype=gy.dtype)
+        gh_buf = np.empty((min(L, SCAN_CHUNK), n, d), dtype=gy.dtype)
+        q_buf = np.empty_like(gh_buf)
+        q_next = np.zeros((n, d), dtype=gy.dtype)
+        for s in reversed(range(0, L, SCAN_CHUNK)):
+            e = min(s + SCAN_CHUNK, L)
+            a_c, h_c, gh, q = abar[s:e], h[s:e], gh_buf[:e - s], q_buf[:e - s]
+            np.einsum("tn,td->tnd", C_d[s:e], gy[s:e], out=gh)
+            np.multiply(a_c, gh, out=q)
+            q[-1] += a_c[-1] * q_next
+            linear_recurrence(a_c[::-1], q[::-1], impl=impl)
+            gh[:-1] += q[1:]
+            gh[-1] += q_next
+            q_next = q[0].copy()
+            # dLoss/dAbar[t] * Abar[t] = gh[t] * h[t-1] * Abar[t] = q[t] * h[t-1],
+            # zero at t = 0 where h[-1] = 0; shared by gdelta and gA.
+            q[1:] *= h_c[:-1]
+            q[0] *= h[s - 1] if s else 0.0
+            np.matmul(B_d[s:e, None, :], gh, out=g_du[s:e, None, :])
+            np.matmul(gh, du[s:e, :, None], out=gB[s:e, :, None])
+            np.matmul(h_c, gy[s:e, :, None], out=gC[s:e, :, None])
+            np.einsum("tnd,nd->td", q, A_t, out=gdelta[s:e])
+            gA_t += np.einsum("tnd,td->nd", q, delta_d[s:e])
         gu = g_du * delta_d + gy * D_d[None, :]
-        gdelta = g_du * u_d
-        gdelta[1:] += np.einsum("tdn,dn->td", g_log_abar, A_d)
-        gB = (du[:, None, :] @ gh)[:, 0, :]
-        gC = (gy[:, None, :] @ h)[:, 0, :]
-        gA = np.einsum("tdn,td->dn", g_log_abar, delta_d[1:])
+        gdelta += g_du * u_d
         gD = (gy * u_d).sum(axis=0)
-        return gu, gdelta, gB, gC, gA, gD
+        return gu, gdelta, gB, gC, gA_t.T, gD
 
     record_op(out, (u, delta, B, C, A, D), vjp)
     return out

@@ -299,6 +299,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
     """Read a bmace-ckpt-1 checkpoint; params come back in STANDARD precision."""
     _, meta, arrays = tensorio.read_tensors(path, expect_format=tensorio.CHECKPOINT_FORMAT)
     cfg = ModelConfig.from_dict(meta["config"])
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise tensorio.BlobFormatError(f"checkpoint tensor {name!r} holds non-finite values")
     tensors = {name: Tensor(arr, dtype=STANDARD) for name, arr in arrays.items()}
     params = params_from_dict(tensors)
     unknown = sorted(set(tensors) - {name for name, _ in params.named_tensors()})

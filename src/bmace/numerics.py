@@ -139,13 +139,18 @@ class Tape:
         return result
 
 
+def recording() -> bool:
+    """True while a tape is active, so record_op will keep what it is given."""
+    return bool(_tapes.stack)
+
+
 def record_op(out: Tensor, parents: Sequence[Tensor], vjp: Callable) -> None:
     """Append an operation to the active tape; no-op when not recording.
 
     ``vjp(grad_out)`` must return one gradient array (or None) per parent,
     each shaped exactly like that parent. It must not mutate ``grad_out``.
     """
-    if _tapes.stack:
+    if recording():
         _tapes.stack[-1]._entries.append((out, tuple(parents), vjp))
 
 

@@ -1,6 +1,8 @@
 """Selective scan semantics, scan-implementation equivalence, block behavior."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,21 @@ def random_scan_instance(rng, L, d, n):
     A = t64(-rng.uniform(0.1, 3.0, size=(d, n)))
     D = t64(rng.standard_normal(d))
     return mb.ScanInputs(u=u, delta=delta, B=B, C=C), A, D
+
+
+def per_frame_scan(inputs, A, D):
+    """y[t] = C[t].h[t] + D*u[t], h[t] = exp(delta[t] A) h[t-1] + delta[t] u[t] B[t], one frame at a time."""
+    u, delta, B, C = (t.data for t in (inputs.u, inputs.delta, inputs.B, inputs.C))
+    h = np.zeros(A.shape)
+    y = np.empty(u.shape)
+    for t in range(u.shape[0]):
+        h = np.exp(delta[t][:, None] * A.data) * h + (delta[t] * u[t])[:, None] * B[t][None, :]
+        y[t] = h @ C[t] + D.data * u[t]
+    return y
+
+
+T = mb.SCAN_CHUNK
+CHUNK_LENGTHS = (1, T - 1, T, T + 1, 2 * T, 3 * T + 5)
 
 
 def random_block_params(rng, d_model, d_inner, n, r, k, scale=0.4):
@@ -87,6 +104,51 @@ class TestSelectiveScan:
             y_assoc = mb.selective_scan_assoc(s, A, D)
             assert np.max(np.abs(y_seq.data - y_assoc.data)) <= 1e-10, f"instance {i} (L={L})"
 
+    @pytest.mark.parametrize("L", CHUNK_LENGTHS)
+    def test_chunked_scan_matches_per_frame_loop(self, L):
+        rng = np.random.default_rng(30 + L)
+        s, A, D = random_scan_instance(rng, L, 5, 3)
+        want = per_frame_scan(s, A, D)
+        for scan in (mb.selective_scan_seq, mb.selective_scan_assoc):
+            y = scan(s, A, D)
+            assert np.max(np.abs(y.data - want)) <= 1e-10, f"{scan.__name__}, L={L}"
+
+    @pytest.mark.parametrize("dtype", [nm.HIGH, nm.STANDARD], ids=["float64", "float32"])
+    def test_taped_and_untaped_outputs_are_identical(self, dtype):
+        # Untaped, the scan reuses one chunk of state buffers and keeps only
+        # the carry row; taped, it keeps every chunk for the adjoint.
+        for L in CHUNK_LENGTHS:
+            rng = np.random.default_rng(40 + L)
+            s, A, D = random_scan_instance(rng, L, 6, 4)
+            s = mb.ScanInputs(*(nm.Tensor(t.data, dtype=dtype) for t in (s.u, s.delta, s.B, s.C)))
+            A, D = nm.Tensor(A.data, dtype=dtype), nm.Tensor(D.data, dtype=dtype)
+            untaped = mb.selective_scan_seq(s, A, D)
+            with nm.Tape() as tape:
+                taped = mb.selective_scan_seq(s, A, D)
+            assert len(tape) == 1
+            assert np.array_equal(taped.data, untaped.data), f"L={L}"
+
+    def test_untaped_state_memory_is_one_chunk(self):
+        # float32, 10,000 frames, d_inner=128, n_state=16: one full state
+        # array would be 82 MB. Untaped, the scan holds its (L, d) delta*u
+        # and output plus one chunk of state.
+        rng = np.random.default_rng(9)
+        L, d, n = 10_000, 128, 16
+        s = mb.ScanInputs(
+            u=nm.Tensor(rng.standard_normal((L, d)), dtype=nm.STANDARD),
+            delta=nm.Tensor(rng.uniform(0.01, 1.5, size=(L, d)), dtype=nm.STANDARD),
+            B=nm.Tensor(rng.standard_normal((L, n)), dtype=nm.STANDARD),
+            C=nm.Tensor(rng.standard_normal((L, n)), dtype=nm.STANDARD))
+        A = nm.Tensor(-rng.uniform(0.1, 3.0, size=(d, n)), dtype=nm.STANDARD)
+        D = nm.Tensor(rng.standard_normal(d), dtype=nm.STANDARD)
+        tracemalloc.start()
+        try:
+            mb.selective_scan_seq(s, A, D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
     def test_prefix_sum_reduction_when_a_is_zero(self):
         # With A = 0, Abar = 1 and the scan is a running sum; check against
         # an independent cumulative-sum oracle.
@@ -134,10 +196,25 @@ class TestSelectiveScan:
             err = check_gradients(loss, [s.u, s.delta, s.B, s.C, A, D])
             assert err <= REL_TOLERANCE, f"seed {seed}: rel err {err:.2e}"
 
+    @pytest.mark.parametrize("L", [T + 1, 2 * T + 3])
+    def test_scan_gradients_across_chunks(self, L):
+        rng = np.random.default_rng(50 + L)
+        s, A, D = random_scan_instance(rng, L, 3, 2)
+        probe = t64(rng.standard_normal((L, 3)))
+
+        def loss(ps):
+            u, delta, B, C, A_, D_ = ps
+            out = mb.selective_scan_seq(mb.ScanInputs(u=u, delta=delta, B=B, C=C), A_, D_)
+            return nm.sum_all(nm.mul(out, probe))
+
+        err = check_gradients(loss, [s.u, s.delta, s.B, s.C, A, D])
+        assert err <= REL_TOLERANCE, f"L={L}: rel err {err:.2e}"
+
     def test_assoc_scan_gradients_match_seq(self):
-        # Lengths cover the adjoint's first and last frames and the
-        # 64-frame chunk boundaries of the associative scan.
-        for L in (1, 2, 12, 63, 64, 65, 129):
+        # Lengths cover the adjoint's first and last frames, the scan's
+        # SCAN_CHUNK-frame chunks and the 64-frame chunk boundaries of the
+        # associative scan.
+        for L in (1, 2, 12, T - 1, T, T + 1, 63, 64, 65, 129):
             rng = np.random.default_rng(8 + L)
             s, A, D = random_scan_instance(rng, L, 3, 2)
             probe = t64(rng.standard_normal((L, 3)))
@@ -213,11 +290,11 @@ class TestMambaBlock:
         assert np.max(np.abs(y1.data - y2.data)) <= 1e-10
 
     def test_block_gradients_both_directions(self):
-        for direction in (mb.FORWARD, mb.BACKWARD):
+        for L, direction in itertools.product((5, T + 3), (mb.FORWARD, mb.BACKWARD)):
             rng = np.random.default_rng(15)
             p = random_block_params(rng, d_model=4, d_inner=8, n=2, r=2, k=2)
-            x = t64(rng.standard_normal((5, 4)))
-            probe = t64(rng.standard_normal((5, 4)))
+            x = t64(rng.standard_normal((L, 4)))
+            probe = t64(rng.standard_normal((L, 4)))
             names = [n for n, _ in p.named_tensors()]
             tensors = [t for _, t in p.named_tensors()]
 
@@ -227,7 +304,7 @@ class TestMambaBlock:
                 return nm.sum_all(nm.mul(y, probe))
 
             err = check_gradients(loss, tensors + [x])
-            assert err <= REL_TOLERANCE, f"{direction}: rel err {err:.2e}"
+            assert err <= REL_TOLERANCE, f"{direction}, L={L}: rel err {err:.2e}"
 
     def test_gradient_reaches_every_parameter(self):
         rng = np.random.default_rng(16)

@@ -428,8 +428,8 @@ class TestPrediction:
 
     def test_whole_clip_pass_memory_is_bounded(self):
         # 486 frames (about 45 s) with the default bmace model. One pass
-        # peaked at 11.6 MB with numpy 2.4.6; the scan holds two
-        # frames x d_inner x n_state arrays, so the peak grows with length.
+        # peaked at 4.1 MB with numpy 2.4.6; the untaped scan keeps one
+        # chunk of state, and the (L, d) activations grow with length.
         rng = np.random.default_rng(24)
         feats = ft.FeatureMatrix(rng.normal(size=(486, 144)))
         cfg = md.ModelConfig(variant=md.BMACE, n_classes=25)
@@ -442,6 +442,23 @@ class TestPrediction:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20
+
+    def test_long_clip_pass_keeps_one_chunk_of_scan_state(self):
+        # 2,600 frames (about 4 min) with the default bmace model peaked at
+        # 21.4 MB with numpy 2.4.6. Whole-clip scan state would add two
+        # 21-MB frames x d_inner x n_state arrays per block.
+        rng = np.random.default_rng(26)
+        feats = ft.FeatureMatrix(rng.normal(size=(2600, 144)))
+        cfg = md.ModelConfig(variant=md.BMACE, n_classes=25)
+        params = md.init_model(cfg, dtype=STANDARD)
+        stats = ft.NormStats(0.0, 1.0)
+        tracemalloc.start()
+        try:
+            tr.predict_classes(params, cfg, stats, feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2 ** 20
 
     def test_predict_annotation_spans_the_clip(self):
         example = tr.synth_clip_example(21, chords.MAJMIN_25, duration_s=4.0)
