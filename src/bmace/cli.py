@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import os
 
-# BLAS thread pinning only works before numpy first loads, so this runs
-# ahead of every other import. Explicit user settings win over the pin.
-_threads = os.environ.get("BMACE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+# BLAS runs one thread unless the caller sets a count: the pin only works
+# before numpy first loads, so this runs ahead of every other import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import json

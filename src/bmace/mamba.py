@@ -23,11 +23,11 @@ state buffers is reused and only the carry row outlives its chunk.
 Two evaluators run the recurrence inside each chunk. The sequential one
 ("seq") is what training and inference run: one in-place pass over time,
 with the state written over the Bbar*u buffer. The associative scan
-("assoc"), built on the first-order-recurrence combinator
-(a,b) o (a',b') = (a*a', a'*b + b'), is kept as the reference the
-acceptance gate checks the sequential scan against. They agree to within
-roundoff and both back-propagate through a hand-derived adjoint (itself a
-reverse-time linear recurrence, run by the same evaluator).
+("assoc"), a log-depth inclusive scan with the first-order-recurrence
+combinator (a,b) o (a',b') = (a*a', a'*b + b'), is kept as the reference
+the acceptance gate checks the sequential scan against. They agree to
+within roundoff and both back-propagate through a hand-derived adjoint
+(itself a reverse-time linear recurrence, run by the same evaluator).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .numerics import (
     mul,
     record_op,
     recording,
-    reverse_time,
     rmsnorm,
     silu,
     slice_cols,
@@ -54,11 +53,7 @@ from .numerics import (
 )
 
 RMSNORM_EPS = 1e-5
-ASSOC_CHUNK = 64
 SCAN_CHUNK = 32
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq") -> np.ndarray:
@@ -66,13 +61,12 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq") -> np.nda
 
     h overwrites b, which is returned; b may be a view, such as a
     time-reversed one. impl="seq" walks time once; impl="assoc" runs a
-    chunked inclusive scan with the associative combinator inside each
-    ASSOC_CHUNK-frame chunk and combines chunks left to right, which keeps
-    results bit-stable across sequence lengths.
+    log-depth inclusive scan with the associative combinator on a copy of
+    a. Row t of the scan is final once the offset passes t, so its
+    results are bit-stable across sequence lengths.
     """
     if a.shape != b.shape:
         raise ShapeError(f"linear_recurrence needs equal shapes, got {a.shape} and {b.shape}")
-    L = a.shape[0]
     if impl == "seq":
         step = np.empty(b.shape[1:], dtype=b.dtype)
         prev = b[0]
@@ -83,21 +77,13 @@ def linear_recurrence(a: np.ndarray, b: np.ndarray, impl: str = "seq") -> np.nda
         return b
     if impl != "assoc":
         raise ValueError(f"unknown scan implementation {impl!r}")
-    carry = np.zeros(b.shape[1:], dtype=b.dtype)
-    for s in range(0, L, ASSOC_CHUNK):
-        a_c = a[s:s + ASSOC_CHUNK].copy()
-        b_c = b[s:s + ASSOC_CHUNK].copy()
-        T = a_c.shape[0]
-        off = 1
-        while off < T:
-            # prefix[t] = prefix[t-off] o prefix[t]; b first, it reads the old a.
-            b_c[off:] += a_c[off:] * b_c[:-off]
-            a_c[off:] *= a_c[:-off]
-            off <<= 1
-        a_c *= carry
-        a_c += b_c
-        b[s:s + T] = a_c
-        carry = a_c[T - 1]
+    a = a.copy()
+    off = 1
+    while off < a.shape[0]:
+        # prefix[t] = prefix[t-off] o prefix[t]; b first, it reads the old a.
+        b[off:] += a[off:] * b[:-off]
+        a[off:] *= a[:-off]
+        off <<= 1
     return b
 
 
@@ -209,8 +195,15 @@ def selective_scan_seq(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
 
 
 def selective_scan_assoc(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
-    """Chunked associative-scan evaluation; equal to the sequential scan."""
+    """Associative-scan evaluation inside each chunk; equal to the sequential scan."""
     return _scan(inputs, A, D, impl="assoc")
+
+
+def block_shapes(d: int, e: int, n: int, r: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Tensor shapes of one block, in MambaBlockParams field order."""
+    return {"in_proj": (d, 2 * e), "conv_w": (e, k), "conv_b": (e,),
+            "x_proj": (e, r + 2 * n), "dt_proj": (r, e), "dt_bias": (e,),
+            "A_log": (e, n), "D": (e,), "out_proj": (e, d), "norm_gain": (d,)}
 
 
 @dataclass
@@ -237,17 +230,8 @@ class MambaBlockParams:
     norm_gain: Tensor
 
     def __post_init__(self):
-        d, two_e = self.in_proj.shape
-        e, k = self.conv_w.shape
-        if two_e != 2 * e:
-            raise ShapeError(f"in_proj {self.in_proj.shape} inconsistent with conv_w {self.conv_w.shape}")
-        n = self.A_log.shape[1]
-        r = self.dt_proj.shape[0]
-        expect = {
-            "conv_b": (e,), "x_proj": (e, r + 2 * n), "dt_proj": (r, e),
-            "dt_bias": (e,), "A_log": (e, n), "D": (e,), "out_proj": (e, d),
-            "norm_gain": (d,),
-        }
+        k = self.conv_w.shape[1]
+        expect = block_shapes(self.d_model, self.d_inner, self.n_state, self.dt_rank, k)
         for name, shape in expect.items():
             got = getattr(self, name).shape
             if got != shape:
@@ -274,24 +258,17 @@ class MambaBlockParams:
             yield prefix + f.name, getattr(self, f.name)
 
 
-def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
-                scan_impl: str = "seq") -> Tensor:
-    """One gated selective-scan block, (L, d_model) in and out.
+def mamba_block(x: Tensor, params: MambaBlockParams, scan_impl: str = "seq") -> Tensor:
+    """One gated selective-scan block, (L, d_model) in and out, forward in time.
 
-    Pipeline: optional time reversal -> RMSNorm -> input projection split
-    into a state branch and a gate -> causal depthwise conv -> SiLU ->
-    data-dependent (delta, B, C) -> selective scan -> SiLU-gated product ->
-    output projection -> undo the reversal. direction="backward" is exactly
-    reverse_time(forward(reverse_time(x))) with the same parameters.
+    Pipeline: RMSNorm -> input projection split into a state branch and a
+    gate -> causal depthwise conv -> SiLU -> data-dependent (delta, B, C)
+    -> selective scan -> SiLU-gated product -> output projection.
     scan_impl picks the scan evaluator: "seq" runs, "assoc" is the
     reference it is checked against.
     """
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     if x.data.ndim != 2 or x.shape[1] != params.d_model:
         raise ShapeError(f"block input must be (L,{params.d_model}), got {x.shape}")
-    if direction == BACKWARD:
-        x = reverse_time(x)
 
     e, n, r = params.d_inner, params.n_state, params.dt_rank
     normed = rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS)
@@ -311,7 +288,4 @@ def mamba_block(x: Tensor, params: MambaBlockParams, direction: str = FORWARD,
     y = _scan(scan, A, params.D, impl=scan_impl)
 
     gated = mul(y, silu(gate))
-    out = matmul(gated, params.out_proj)
-    if direction == BACKWARD:
-        out = reverse_time(out)
-    return out
+    return matmul(gated, params.out_proj)

@@ -11,6 +11,8 @@ sequence modelling, and a linear head emits per-frame class logits.
           the head reads 2*d_model features.
   bmace   like mace-h, but the second block runs backward in time, giving
           the head a view of both past and future context at every frame.
+          ``forward`` wires that branch as a forward block between two time
+          reversals: reverse_time(block(reverse_time(h0))).
 
 FLOP accounting convention: a multiply-accumulate costs 2, plain elementwise
 ops cost 1, and exp/sigmoid/ln/sqrt cost 8 each. Time reversal and
@@ -27,12 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensorio
-from .mamba import (
-    BACKWARD,
-    FORWARD,
-    MambaBlockParams,
-    mamba_block,
-)
+from .mamba import MambaBlockParams, block_shapes, mamba_block
 from .numerics import (
     HIGH,
     STANDARD,
@@ -42,6 +39,7 @@ from .numerics import (
     add_bias,
     concat_features,
     matmul,
+    reverse_time,
 )
 
 MACE_V = "mace-v"
@@ -209,19 +207,17 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
         raise ShapeError(f"input must be (L, {cfg.n_bins}), got {x.shape}")
     h0 = add_bias(matmul(x, params.fc_in), params.fc_bias)
 
-    def run(block, src, direction):
-        return add(src, mamba_block(src, block, direction=direction, scan_impl=scan_impl))
+    def run(block, src):
+        return add(src, mamba_block(src, block, scan_impl=scan_impl))
 
     if cfg.variant == MACE_V:
-        h1 = run(params.block_a, h0, FORWARD)
-        h2 = run(params.block_b, h1, FORWARD)
-        feats = h2
+        feats = run(params.block_b, run(params.block_a, h0))
     elif cfg.variant == MACE_H:
-        feats = concat_features(run(params.block_a, h0, FORWARD),
-                                run(params.block_b, h0, FORWARD))
-    else:  # bmace
-        feats = concat_features(run(params.block_a, h0, FORWARD),
-                                run(params.block_b, h0, BACKWARD))
+        feats = concat_features(run(params.block_a, h0), run(params.block_b, h0))
+    else:  # bmace: the second block reads time reversed
+        first = run(params.block_a, h0)
+        back = mamba_block(reverse_time(h0), params.block_b, scan_impl=scan_impl)
+        feats = concat_features(first, add(h0, reverse_time(back)))
     return add_bias(matmul(feats, params.head), params.head_bias)
 
 
@@ -234,20 +230,21 @@ def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Accounting
 
+def tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor the config implies, in checkpoint order."""
+    d = cfg.d_model
+    block = block_shapes(d, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k)
+    shapes = {"fc_in": (cfg.n_bins, d), "fc_bias": (d,)}
+    for prefix in ("block_a.", "block_b."):
+        shapes.update((prefix + name, shape) for name, shape in block.items())
+    shapes["head"] = (cfg.head_in, cfg.n_classes)
+    shapes["head_bias"] = (cfg.n_classes,)
+    return shapes
+
+
 def count_params(cfg: ModelConfig) -> int:
-    """Closed-form parameter count; matches the materialized tensors exactly."""
-    d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
-    block = (d * 2 * e      # in_proj
-             + e * k + e    # conv_w, conv_b
-             + e * (r + 2 * n)  # x_proj
-             + r * e + e    # dt_proj, dt_bias
-             + e * n        # A_log
-             + e            # D
-             + e * d        # out_proj
-             + d)           # norm_gain
-    trunk = cfg.n_bins * d + d
-    head = cfg.head_in * cfg.n_classes + cfg.n_classes
-    return trunk + 2 * block + head
+    """Parameter count the config's tensor shapes imply; matches init_model exactly."""
+    return sum(math.prod(shape) for shape in tensor_shapes(cfg).values())
 
 
 def count_flops(cfg: ModelConfig, n_frames: int) -> int:
@@ -296,19 +293,25 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams,
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
-    """Read a bmace-ckpt-1 checkpoint; params come back in STANDARD precision."""
+    """Read a bmace-ckpt-1 checkpoint; params come back in STANDARD precision.
+
+    Every tensor the stored config implies must be present, with that shape
+    and finite values, and no other tensor may be.
+    """
     _, meta, arrays = tensorio.read_tensors(path, expect_format=tensorio.CHECKPOINT_FORMAT)
     cfg = ModelConfig.from_dict(meta["config"])
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise tensorio.BlobFormatError(f"checkpoint tensor {name!r} holds non-finite values")
-    tensors = {name: Tensor(arr, dtype=STANDARD) for name, arr in arrays.items()}
-    params = params_from_dict(tensors)
-    unknown = sorted(set(tensors) - {name for name, _ in params.named_tensors()})
+    expected = tensor_shapes(cfg)
+    unknown = sorted(set(arrays) - set(expected))
     if unknown:
         raise tensorio.BlobFormatError(f"checkpoint holds unknown tensors {unknown}")
-    if params.n_params() != count_params(cfg):
-        raise tensorio.BlobFormatError(
-            f"checkpoint holds {params.n_params()} parameters, "
-            f"config implies {count_params(cfg)}")
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise tensorio.BlobFormatError(f"checkpoint lacks tensor {name!r}")
+        arr = arrays[name]
+        if arr.shape != shape:
+            raise tensorio.BlobFormatError(
+                f"checkpoint tensor {name!r} has shape {arr.shape}, config implies {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise tensorio.BlobFormatError(f"checkpoint tensor {name!r} holds non-finite values")
+    params = params_from_dict({name: Tensor(arr, dtype=STANDARD) for name, arr in arrays.items()})
     return cfg, params, meta

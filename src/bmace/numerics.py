@@ -14,16 +14,12 @@ silently broadcasting.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
 HIGH = np.dtype(np.float64)
 STANDARD = np.dtype(np.float32)
-
-_uid_counter = itertools.count()
 
 
 class ShapeError(ValueError):
@@ -33,7 +29,7 @@ class ShapeError(ValueError):
 class Tensor:
     """Immutable dense array with row-major storage and a fixed float dtype."""
 
-    __slots__ = ("data", "uid")
+    __slots__ = ("data",)
 
     def __init__(self, values, dtype=None):
         if dtype is None:
@@ -45,7 +41,6 @@ class Tensor:
         arr = np.array(values, dtype=dtype, order="C")
         arr.setflags(write=False)
         self.data = arr
-        self.uid = next(_uid_counter)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -54,7 +49,6 @@ class Tensor:
         a = arr if arr.flags.c_contiguous else np.asarray(arr, order="C")
         a.setflags(write=False)
         t.data = a
-        t.uid = next(_uid_counter)
         return t
 
     @property
@@ -85,32 +79,32 @@ def tensor(values, dtype=HIGH) -> Tensor:
 # --------------------------------------------------------------------------
 # Tape
 
-class _TapeStack(threading.local):
-    def __init__(self):
-        self.stack: list["Tape"] = []
-
-
-_tapes = _TapeStack()
+_active = None  # the tape that is recording, if any
 
 
 class Tape:
     """Ordered record of executed operations, replayed in reverse for adjoints.
 
     A tape is confined to one logical execution: enter it, run the forward
-    computation, then ask for gradients. Entries hold strong references to
-    the tensors involved, so uids stay unique for the tape's lifetime.
+    computation, then ask for gradients. One tape records at a time, so
+    entering a tape while another is recording raises RuntimeError. Entries
+    hold strong references to the tensors involved, so their id()s stay
+    unique for the tape's lifetime.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tapes.stack.append(self)
+        global _active
+        if _active is not None:
+            raise RuntimeError("a tape is already recording; tapes do not nest")
+        _active = self
         return self
 
     def __exit__(self, *exc):
-        popped = _tapes.stack.pop()
-        assert popped is self, "tapes must be exited in LIFO order"
+        global _active
+        _active = None
         return False
 
     def __len__(self) -> int:
@@ -120,19 +114,19 @@ class Tape:
         """d(loss)/d(param) for each param, by adjoint replay in reverse order."""
         if loss.shape != ():
             raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
-        adjoints: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=loss.dtype)}
+        adjoints: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
         for out, parents, vjp in reversed(self._entries):
-            g = adjoints.get(out.uid)
+            g = adjoints.get(id(out))
             if g is None:
                 continue
             for parent, pg in zip(parents, vjp(g)):
                 if pg is None:
                     continue
-                cur = adjoints.get(parent.uid)
-                adjoints[parent.uid] = pg if cur is None else cur + pg
+                cur = adjoints.get(id(parent))
+                adjoints[id(parent)] = pg if cur is None else cur + pg
         result = []
         for p in params:
-            g = adjoints.get(p.uid)
+            g = adjoints.get(id(p))
             if g is None:
                 g = np.zeros(p.shape, dtype=p.dtype)
             result.append(Tensor._wrap(np.asarray(g, dtype=p.dtype).reshape(p.shape)))
@@ -141,7 +135,7 @@ class Tape:
 
 def recording() -> bool:
     """True while a tape is active, so record_op will keep what it is given."""
-    return bool(_tapes.stack)
+    return _active is not None
 
 
 def record_op(out: Tensor, parents: Sequence[Tensor], vjp: Callable) -> None:
@@ -150,8 +144,8 @@ def record_op(out: Tensor, parents: Sequence[Tensor], vjp: Callable) -> None:
     ``vjp(grad_out)`` must return one gradient array (or None) per parent,
     each shaped exactly like that parent. It must not mutate ``grad_out``.
     """
-    if recording():
-        _tapes.stack[-1]._entries.append((out, tuple(parents), vjp))
+    if _active is not None:
+        _active._entries.append((out, tuple(parents), vjp))
 
 
 def grad(loss_fn: Callable[[], Tensor], params: Sequence[Tensor]) -> list[Tensor]:

@@ -70,19 +70,13 @@ class TrainResult:
     best_val_loss: float
 
 
-def cross_entropy(logits, targets, mask=None):
-    """Mean negative log-likelihood over non-SKIP frames.
-
-    ``mask`` (True = frame counts) defaults to ``targets != SKIP`` and is
-    intersected with it when given, so SKIP frames never contribute.
-    """
+def cross_entropy(logits, targets):
+    """Mean negative log-likelihood over non-SKIP frames."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
         raise nm.ShapeError(
             f"targets must be ({logits.shape[0]},), got {targets.shape}")
     keep = targets != SKIP
-    if mask is not None:
-        keep = keep & np.asarray(mask, dtype=bool)
     if not keep.any():
         raise ValueError("every frame is masked out; nothing to train on")
     live = targets[keep]

@@ -351,6 +351,21 @@ class TestEvaluateCommand:
         assert out == ""
         assert "'fc_in'" in err and "non-finite" in err
 
+    def test_wrong_shaped_checkpoint_is_a_usage_error(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 1)
+        cfg = md.ModelConfig(variant=md.BMACE, n_classes=25)
+        params = md.init_model(cfg).map_arrays(
+            lambda name, arr: arr.T.copy() if name == "fc_in" else arr)
+        ckpt = tmp_path / "model"
+        md.save_checkpoint(ckpt, cfg, params, extra_meta={
+            "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "'fc_in'" in err and "(128, 144)" in err and "(144, 128)" in err
+
     def test_empty_audio_directory_is_a_usage_error(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,6 +1,5 @@
 """Selective scan semantics, scan-implementation equivalence, block behavior."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -57,6 +56,34 @@ def random_block_params(rng, d_model, d_inner, n, r, k, scale=0.4):
         out_proj=u((d_inner, d_model)),
         norm_gain=t64(rng.uniform(0.5, 1.5, size=(d_model,))),
     )
+
+
+class TestLinearRecurrence:
+    @staticmethod
+    def operands(L, seed=30):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.5, 1.0, size=(L, 3, 2))
+        b = rng.standard_normal((L, 3, 2))
+        return a, b
+
+    def test_assoc_matches_seq_past_one_chunk(self):
+        for L in range(1, 201):
+            a, b = self.operands(L, seed=L)
+            want = mb.linear_recurrence(a, b.copy(), "seq")
+            got = mb.linear_recurrence(a, b.copy(), "assoc")
+            assert np.max(np.abs(got - want)) <= 1e-12, f"L={L}"
+
+    def test_assoc_is_bit_stable_across_lengths(self):
+        a, b = self.operands(200)
+        full = mb.linear_recurrence(a, b.copy(), "assoc")
+        head = mb.linear_recurrence(a[:77], b[:77].copy(), "assoc")
+        assert np.array_equal(head, full[:77])
+
+    def test_assoc_leaves_a_unchanged(self):
+        a, b = self.operands(200)
+        kept = a.copy()
+        mb.linear_recurrence(a, b, "assoc")
+        assert np.array_equal(a, kept)
 
 
 class TestDiscretize:
@@ -265,22 +292,6 @@ class TestMambaBlock:
         y = mb.mamba_block(t64(rng.standard_normal((6, 4))), p)
         assert np.array_equal(y.data, np.zeros((6, 4)))
 
-    def test_backward_is_conjugated_forward(self):
-        rng = np.random.default_rng(12)
-        p = random_block_params(rng, **self.TINY)
-        x = t64(rng.standard_normal((9, 4)))
-        back = mb.mamba_block(x, p, direction=mb.BACKWARD)
-        conj = nm.reverse_time(mb.mamba_block(nm.reverse_time(x), p, direction=mb.FORWARD))
-        assert np.array_equal(back.data, conj.data)
-
-    def test_backward_direction_differs_from_forward(self):
-        rng = np.random.default_rng(13)
-        p = random_block_params(rng, **self.TINY)
-        x = t64(rng.standard_normal((9, 4)))
-        fwd = mb.mamba_block(x, p, direction=mb.FORWARD)
-        back = mb.mamba_block(x, p, direction=mb.BACKWARD)
-        assert np.max(np.abs(fwd.data - back.data)) > 1e-8
-
     def test_seq_and_assoc_block_agree(self):
         rng = np.random.default_rng(14)
         p = random_block_params(rng, **self.TINY)
@@ -289,8 +300,8 @@ class TestMambaBlock:
         y2 = mb.mamba_block(x, p, scan_impl="assoc")
         assert np.max(np.abs(y1.data - y2.data)) <= 1e-10
 
-    def test_block_gradients_both_directions(self):
-        for L, direction in itertools.product((5, T + 3), (mb.FORWARD, mb.BACKWARD)):
+    def test_block_gradients(self):
+        for L in (5, T + 3):
             rng = np.random.default_rng(15)
             p = random_block_params(rng, d_model=4, d_inner=8, n=2, r=2, k=2)
             x = t64(rng.standard_normal((L, 4)))
@@ -300,11 +311,11 @@ class TestMambaBlock:
 
             def loss(ps):
                 fields = dict(zip(names, ps[:-1]))
-                y = mb.mamba_block(ps[-1], mb.MambaBlockParams(**fields), direction=direction)
+                y = mb.mamba_block(ps[-1], mb.MambaBlockParams(**fields))
                 return nm.sum_all(nm.mul(y, probe))
 
             err = check_gradients(loss, tensors + [x])
-            assert err <= REL_TOLERANCE, f"{direction}, L={L}: rel err {err:.2e}"
+            assert err <= REL_TOLERANCE, f"L={L}: rel err {err:.2e}"
 
     def test_gradient_reaches_every_parameter(self):
         rng = np.random.default_rng(16)

@@ -269,6 +269,31 @@ class TestCheckpoint:
         with pytest.raises(tensorio.BlobFormatError, match="block_a.in_bias"):
             md.load_checkpoint(base)
 
+    def test_missing_tensor_is_named(self, tmp_path):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()
+                 if name != "block_b.D"]
+        base = tmp_path / "ckpt"
+        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
+                               {"config": cfg.to_dict()}, named)
+        with pytest.raises(tensorio.BlobFormatError, match="block_b.D"):
+            md.load_checkpoint(base)
+
+    @pytest.mark.parametrize("field, tensor", [
+        ("d_model", "fc_in"), ("expand", "block_a.in_proj"),
+        ("n_state", "block_a.x_proj"), ("dt_rank", "block_a.x_proj"),
+        ("conv_k", "block_a.conv_w"), ("n_classes", "head"),
+    ])
+    def test_tensor_shape_must_match_config(self, tmp_path, field, tensor):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        other = md.ModelConfig.from_dict({**cfg.to_dict(), field: getattr(cfg, field) + 1})
+        named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()]
+        base = tmp_path / "ckpt"
+        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
+                               {"config": other.to_dict()}, named)
+        with pytest.raises(tensorio.BlobFormatError, match=rf"'{tensor}' has shape"):
+            md.load_checkpoint(base)
+
     def test_serialized_element_count_matches_count_params(self, tmp_path):
         cfg = cfg_for(md.MACE_H, n_classes=170, **TINY)
         base = tmp_path / "ckpt"

@@ -271,6 +271,19 @@ class TestGrad:
         nm.mul(a, 3.0)  # outside: must not extend the tape
         assert len(tape) == 1
 
+    def test_second_tape_cannot_enter_while_one_records(self):
+        outer = nm.Tape()
+        with outer:
+            with pytest.raises(RuntimeError):
+                with nm.Tape():
+                    pass
+            nm.mul(t64([1.0]), 2.0)  # the outer tape still records
+        assert len(outer) == 1
+        assert not nm.recording()
+        with nm.Tape() as again:
+            nm.mul(t64([1.0]), 2.0)
+        assert len(again) == 1
+
     def test_loss_must_be_scalar(self):
         p = t64([1.0, 2.0])
         with pytest.raises(nm.ShapeError):

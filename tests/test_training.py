@@ -91,14 +91,6 @@ class TestCrossEntropy:
         assert np.all(g.data[[1, 3]] == 0.0)
         assert np.any(g.data[[0, 2]] != 0.0)
 
-    def test_explicit_mask_intersects_skip_mask(self):
-        rng = np.random.default_rng(2)
-        logits = Tensor(rng.standard_normal((3, 4)))
-        targets = np.array([1, SKIP, 2])
-        only_last = tr.cross_entropy(logits, targets, mask=np.array([False, True, True]))
-        direct = tr.cross_entropy(nm.slice_cols(logits, 0, 4), np.array([SKIP, SKIP, 2]))
-        assert abs(only_last.data - direct.data) < 1e-15
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         logits = Tensor(rng.standard_normal((5, 4)), dtype=HIGH)
