@@ -5,7 +5,7 @@ Exit codes are uniform: 0 success, 1 a verification check failed, 2 usage
 or input error. Commands that write files also write a JSON run manifest
 next to their outputs with every default materialized, so a run is fully
 described by its manifest. Outputs carry no timestamps; identical flags,
-seeds, and inputs reproduce identical bytes.
+seeds, and inputs reproduce identical bytes at the same BLAS thread count.
 """
 
 from __future__ import annotations

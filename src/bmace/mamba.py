@@ -271,21 +271,22 @@ def mamba_block(x: Tensor, params: MambaBlockParams, scan_impl: str = "seq") -> 
         raise ShapeError(f"block input must be (L,{params.d_model}), got {x.shape}")
 
     e, n, r = params.d_inner, params.n_state, params.dt_rank
-    normed = rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS)
-    proj = matmul(normed, params.in_proj)
+    # Each large intermediate is dropped after its last use, so an untaped
+    # pass holds few (L, d_inner) arrays at once; a tape keeps what it needs.
+    proj = matmul(rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS), params.in_proj)
     branch = slice_cols(proj, 0, e)
     gate = slice_cols(proj, e, 2 * e)
-
+    del proj
     u = silu(conv1d_depthwise(branch, params.conv_w, params.conv_b))
+    del branch
     dbc = matmul(u, params.x_proj)
     dt_low = slice_cols(dbc, 0, r)
     B = slice_cols(dbc, r, r + n)
     C = slice_cols(dbc, r + n, r + 2 * n)
+    del dbc
     delta = softplus(add_bias(matmul(dt_low, params.dt_proj), params.dt_bias))
 
     A = mul(exp(params.A_log), -1.0)
-    scan = ScanInputs(u=u, delta=delta, B=B, C=C)
-    y = _scan(scan, A, params.D, impl=scan_impl)
-
-    gated = mul(y, silu(gate))
-    return matmul(gated, params.out_proj)
+    y = _scan(ScanInputs(u=u, delta=delta, B=B, C=C), A, params.D, impl=scan_impl)
+    del u, delta, B, C
+    return matmul(mul(y, silu(gate)), params.out_proj)

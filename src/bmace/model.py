@@ -106,9 +106,6 @@ class ModelParams:
         yield "head", self.head
         yield "head_bias", self.head_bias
 
-    def n_params(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
-
     def astype(self, dtype) -> "ModelParams":
         return self.map_arrays(lambda name, a: a.astype(dtype))
 

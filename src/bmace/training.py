@@ -89,47 +89,33 @@ def cross_entropy(logits, targets):
 
 @dataclass(frozen=True)
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(named):
-    zeros = lambda: {name: np.zeros_like(arr) for name, arr in named.items()}
-    return AdamState(zeros(), zeros(), 0)
+def adam_init(flat):
+    return AdamState(np.zeros_like(flat), np.zeros_like(flat), 0)
 
 
-def adam_step(named, grads, state, cfg):
-    """One bias-corrected Adam update; returns (new params, new state)."""
+def adam_step(flat, grad, state, cfg):
+    """One bias-corrected Adam update; returns (new parameter vector, new state)."""
+    if grad.shape != flat.shape:
+        raise nm.ShapeError(f"gradient has shape {grad.shape}, parameters are {flat.shape}")
     t = state.t + 1
-    new_params = {}
-    new_m = {}
-    new_v = {}
-    for name, param in named.items():
-        g = grads[name]
-        if g.shape != param.shape:
-            raise nm.ShapeError(
-                f"gradient for {name} has shape {g.shape}, parameter is {param.shape}")
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
-        new_params[name] = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t)
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m, v, t)
 
 
-def clip_gradients(grads, max_norm):
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    norm = math.sqrt(total)
+def clip_gradients(grad, max_norm):
+    """Scale the gradient so its L2 norm is at most max_norm; returns (grad, norm)."""
+    norm = math.sqrt(float(np.sum(np.asarray(grad, dtype=np.float64) ** 2)))
     if norm <= max_norm or norm == 0.0:
-        return dict(grads), norm
-    scale = max_norm / norm
-    return {name: g * np.asarray(scale, dtype=g.dtype) for name, g in grads.items()}, norm
+        return grad, norm
+    return grad * np.asarray(max_norm / norm, dtype=grad.dtype), norm
 
 
 def split_dataset(items, seed):
@@ -180,58 +166,70 @@ def build_dataset(examples, vocab, stats):
     return segments
 
 
-def _params_from_arrays(named):
-    return md.params_from_dict({name: Tensor(arr, dtype=STANDARD) for name, arr in named.items()})
+# Training holds the parameters as one float32 vector, the md.tensor_shapes
+# tensors end to end; gradients, Adam moments and the best snapshot share it.
+
+def _params_from_flat(flat, model_cfg):
+    """ModelParams copied from consecutive slices of the parameter vector.
+
+    Raises TrainingDivergedError naming the first tensor, in tensor order,
+    that holds a non-finite value.
+    """
+    finite = bool(np.all(np.isfinite(flat)))
+    tensors = {}
+    end = 0
+    for name, shape in md.tensor_shapes(model_cfg).items():
+        start, end = end, end + math.prod(shape)
+        piece = flat[start:end]
+        if not finite and not np.all(np.isfinite(piece)):
+            raise TrainingDivergedError(f"parameter {name} became non-finite")
+        tensors[name] = Tensor(piece.reshape(shape), dtype=STANDARD)
+    return md.params_from_dict(tensors)
 
 
 def _init_training(model_cfg):
-    """Initial parameters as (named arrays in tensor order, fresh Adam state)."""
+    """Initial (parameter vector, fresh Adam state)."""
     params0 = md.init_model(model_cfg, dtype=STANDARD)
-    named = {name: np.array(tensor.data) for name, tensor in params0.named_tensors()}
-    return named, adam_init(named)
+    flat = np.concatenate([tensor.data.ravel() for _, tensor in params0.named_tensors()])
+    return flat, adam_init(flat)
 
 
-def _loss_and_grads(named, model_cfg, feats, targets):
+def _loss_and_grads(params, model_cfg, feats, targets):
+    """(loss, gradient laid out like the parameter vector) on one segment."""
     # The scan rejects non-finite time steps with its own invariant error,
     # so screen step inputs here and report the failure as what it is.
     if not np.all(np.isfinite(feats)):
         raise TrainingDivergedError("non-finite feature values reached a training step")
-    for name, arr in named.items():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDivergedError(f"parameter {name} became non-finite")
-    tensors = {name: Tensor(arr, dtype=STANDARD) for name, arr in named.items()}
-    params = md.params_from_dict(tensors)
     with Tape() as tape:
         x = Tensor(feats, dtype=STANDARD)
         logits = md.forward(params, model_cfg, x)
         loss = cross_entropy(logits, targets)
-    grads = tape.gradients(loss, list(tensors.values()))
-    return float(loss.data), {name: g.data for name, g in zip(tensors, grads)}
+    grads = tape.gradients(loss, [tensor for _, tensor in params.named_tensors()])
+    return float(loss.data), np.concatenate([g.data.ravel() for g in grads])
 
 
-def _adam_batch_step(named, state, model_cfg, train_cfg, segments):
+def _adam_batch_step(flat, state, model_cfg, train_cfg, segments):
     """Adam step on the clipped mean gradient, summed from zeros in order.
 
-    Returns (named, state, per-segment losses, pre-clip gradient norm).
+    Returns (flat, state, per-segment losses, pre-clip gradient norm).
     """
-    acc = {name: np.zeros_like(arr) for name, arr in named.items()}
+    params = _params_from_flat(flat, model_cfg)
+    acc = np.zeros_like(flat)
     losses = []
     for feats, targets in segments:
-        loss_value, grads = _loss_and_grads(named, model_cfg, feats, targets)
+        loss_value, grad = _loss_and_grads(params, model_cfg, feats, targets)
         if not math.isfinite(loss_value):
             raise TrainingDivergedError("non-finite training loss")
-        for name, g in grads.items():
-            acc[name] += g
+        acc += grad
         losses.append(loss_value)
-    mean_grads = {name: g / len(segments) for name, g in acc.items()}
-    clipped, norm = clip_gradients(mean_grads, CLIP_NORM)
-    named, state = adam_step(named, clipped, state, train_cfg)
-    return named, state, losses, norm
+    clipped, norm = clip_gradients(acc / len(segments), CLIP_NORM)
+    flat, state = adam_step(flat, clipped, state, train_cfg)
+    return flat, state, losses, norm
 
 
-def _evaluate_split(named, model_cfg, segments):
+def _evaluate_split(flat, model_cfg, segments):
     """(mean loss, framewise accuracy) over a list of segments, no tape."""
-    params = _params_from_arrays(named)
+    params = _params_from_flat(flat, model_cfg)
     loss_sum = 0.0
     loss_n = 0
     correct = 0
@@ -267,10 +265,11 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     train_segments = build_dataset(train_clips, vocab, stats)
     val_segments = build_dataset(val_clips, vocab, stats)
 
-    named, state = _init_training(model_cfg)
+    flat, state = _init_training(model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
 
-    best = {name: arr.copy() for name, arr in named.items()}
+    # adam_step returns a new vector, so holding the best one needs no copy.
+    best = flat
     best_val = math.inf
     best_epoch = 0
     bad_epochs = 0
@@ -286,14 +285,14 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
             scorable = [seg for seg in batch if (seg[1] != SKIP).any()]
             if not scorable:
                 continue
-            named, state, losses, norm = _adam_batch_step(
-                named, state, model_cfg, train_cfg, scorable)
+            flat, state, losses, norm = _adam_batch_step(
+                flat, state, model_cfg, train_cfg, scorable)
             norms.append(norm)
             loss_sum = sum(losses, loss_sum)
             loss_n += len(losses)
         seconds = time.perf_counter() - started
 
-        val_loss, val_accuracy = _evaluate_split(named, model_cfg, val_segments)
+        val_loss, val_accuracy = _evaluate_split(flat, model_cfg, val_segments)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append({
@@ -310,14 +309,14 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best = {name: arr.copy() for name, arr in named.items()}
+            best = flat
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= train_cfg.patience:
                 break
 
-    return TrainResult(_params_from_arrays(best), stats, tuple(history),
+    return TrainResult(_params_from_flat(best, model_cfg), stats, tuple(history),
                        best_epoch, best_val)
 
 
@@ -329,15 +328,15 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     toward zero. Stops early once the loss drops under ``stop_below``.
     """
     cfg = train_cfg or TrainConfig()
-    named, state = _init_training(model_cfg)
+    flat, state = _init_training(model_cfg)
     losses = []
     for _ in range(steps):
-        named, state, (loss_value,), _ = _adam_batch_step(
-            named, state, model_cfg, cfg, [(feats, targets)])
+        flat, state, (loss_value,), _ = _adam_batch_step(
+            flat, state, model_cfg, cfg, [(feats, targets)])
         losses.append(loss_value)
         if stop_below is not None and loss_value < stop_below:
             break
-    return _params_from_arrays(named), losses
+    return _params_from_flat(flat, model_cfg), losses
 
 
 def predict_classes(params, model_cfg, stats, feats):

@@ -129,8 +129,9 @@ class TestTrainCommand:
     def test_same_flags_same_checkpoint_bytes(self, capsys, tmp_path):
         run_cli(capsys, *self.train_args(tmp_path / "a"))
         run_cli(capsys, *self.train_args(tmp_path / "b"))
-        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        for suffix in (".bin", ".json", ".history.json"):
+            assert ((tmp_path / f"a{suffix}").read_bytes()
+                    == (tmp_path / f"b{suffix}").read_bytes())
 
     def test_dotted_output_names_do_not_collide(self, capsys, tmp_path):
         run = tmp_path / "run"
