@@ -291,13 +291,18 @@ class Annotation:
     def duration(self):
         return self.intervals[-1][1] if self.intervals else 0.0
 
-    def label_at(self, t):
-        """Label active at time ``t``; no-chord outside every interval."""
+    def index_at(self, t):
+        """Index of the interval holding time ``t``; None outside every interval."""
         # Ends strictly increase: only the first interval ending after t can hold it.
         i = bisect_right(self._ends, t)
         if i < len(self.intervals) and self.intervals[i][0] <= t:
-            return self.intervals[i][2]
-        return ChordLabel.no_chord()
+            return i
+        return None
+
+    def label_at(self, t):
+        """Label active at time ``t``; no-chord outside every interval."""
+        i = self.index_at(t)
+        return ChordLabel.no_chord() if i is None else self.intervals[i][2]
 
 
 def parse_lab(text):
@@ -308,6 +313,7 @@ def parse_lab(text):
     an error naming both lines, and gaps (leading or internal) are
     filled with no-chord intervals.
     """
+    labels = {}  # token text -> ChordLabel, so each distinct token parses once
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -325,10 +331,12 @@ def parse_lab(text):
             raise ParseError(f"line {lineno}: non-finite time in {raw!r}")
         if start < 0 or end <= start:
             raise ParseError(f"line {lineno}: invalid interval [{start}, {end})")
-        try:
-            label = parse_chord(fields[2])
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        label = labels.get(fields[2])
+        if label is None:
+            try:
+                label = labels[fields[2]] = parse_chord(fields[2])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         entries.append((start, end, label, lineno))
 
     entries.sort(key=lambda e: (e[0], e[1]))

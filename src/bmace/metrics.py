@@ -7,9 +7,17 @@ a shared-pitch-class rule (at least three common tones). Each segment of
 the merged partition scores MATCH, MISMATCH, or SKIPPED; a comparator's
 recall is matched duration over non-skipped duration.
 
+Each label is reduced once per call to a reference key and an estimate
+key per comparator. Under the first six comparators a segment is skipped
+when the reference key is None and matches when the two keys are equal.
+MIREX keys are pitch-class bitmasks, and a segment matches when the two
+share at least three bits.
+
 Reference labels that cannot be read (unknown, or an interval set no
 template fits) are skipped by every comparator. Estimated labels never
-cause a skip; an unreadable estimate simply matches nothing.
+cause a skip. An unreadable estimate matches nothing under the first
+five comparators; the major/minor reduction still reads its third, and
+MIREX its pitch classes.
 """
 
 from __future__ import annotations
@@ -39,25 +47,17 @@ _SEVENTH_CLASSES = frozenset(range(9)) | {10, 11}
 
 _SEVENTHS_DOMAIN = frozenset({"maj", "min", "7", "maj7", "min7"})
 
-
-def _canonical(label):
-    """Normalize to ('chord', root, quality) or a special kind.
-
-    Raw interval sets reduce through the same largest-template rule the
-    vocabularies use; an irreducible set behaves like unknown.
-    """
-    if label.is_no_chord:
-        return ("no_chord", None, None)
-    if label.is_unknown:
-        return ("unknown", None, None)
-    quality = label.quality or chords.reduce_quality(label.intervals)
-    if quality is None:
-        return ("unknown", None, None)
-    return ("chord", label.root, quality)
+# Equality keys of the two labels without a chord quality. Chord keys are
+# ints and tuples, so neither string equals any of them.
+_NO_CHORD_KEY = "N"
+_UNREADABLE_KEY = "X"
+# No-chord's MIREX mask: three bits above the twelve pitch classes, so it
+# shares three tones with itself and none with any chord.
+_NO_CHORD_MASK = 0b111 << 12
+_MIREX_COLUMN = COMPARATORS.index(MIREX)
 
 
-def _third_class(quality):
-    template = chords.TEMPLATES[quality]
+def _third_class(template):
     if 4 in template:
         return "maj"
     if 3 in template:
@@ -65,57 +65,65 @@ def _third_class(quality):
     return "none"
 
 
+def _keys(label):
+    """(reference keys, estimate keys) of one label, one per comparator.
+
+    The quality is the label's own or its raw interval set's largest
+    template. A reference key of None skips the segment; the last key of
+    each side is the MIREX pitch-class mask.
+    """
+    majmin = chords.to_class(label, chords.MAJMIN_25)
+    if label.is_no_chord:
+        est = (_NO_CHORD_KEY,) * 5 + (majmin, _NO_CHORD_MASK)
+        return est, est
+    mask = sum(1 << pc for pc in label.pitch_classes())
+    quality = None if label.is_unknown else (
+        label.quality or chords.reduce_quality(label.intervals))
+    if quality is None:
+        return (None,) * 7, (_UNREADABLE_KEY,) * 5 + (majmin, mask)
+    root = label.root
+    template = chords.TEMPLATES[quality]
+    est = (root, (root, _third_class(template)), (root, template & _TRIAD_CLASSES),
+           (root, template & _SEVENTH_CLASSES), (root, template), majmin, mask)
+    # As a reference, a chord outside the sevenths domain or without a
+    # third is skipped by that comparator.
+    ref = est[:3] + (est[3] if quality in _SEVENTHS_DOMAIN else None, est[4],
+                     None if majmin == chords.SKIP else majmin, mask)
+    return ref, est
+
+
+def _grade(column, ref_keys, est_keys):
+    """True (match), False (mismatch) or None (skipped) under one comparator."""
+    ref_key = ref_keys[column]
+    if ref_key is None:
+        return None
+    if column == _MIREX_COLUMN:
+        return (ref_key & est_keys[column]).bit_count() >= 3
+    return ref_key == est_keys[column]
+
+
+def _column(kind):
+    try:
+        return COMPARATORS.index(kind)
+    except ValueError:
+        raise ValueError(f"unknown comparator {kind!r}") from None
+
+
 def compare(kind, ref, est):
     """Grade one (reference, estimate) label pair under a comparator."""
-    ref_kind, ref_root, ref_quality = _canonical(ref)
-    if ref_kind == "unknown":
-        return SKIPPED
-
-    if kind == MIREX:
-        est_kind = _canonical(est)[0]
-        if ref_kind == "no_chord":
-            return MATCH if est_kind == "no_chord" else MISMATCH
-        shared = ref.pitch_classes() & est.pitch_classes()
-        return MATCH if len(shared) >= 3 else MISMATCH
-
-    if kind == MAJMIN:
-        ref_class = chords.to_class(ref, chords.MAJMIN_25)
-        if ref_class == chords.SKIP:
-            return SKIPPED
-        return MATCH if chords.to_class(est, chords.MAJMIN_25) == ref_class else MISMATCH
-
-    if kind == SEVENTHS and ref_kind == "chord" and ref_quality not in _SEVENTHS_DOMAIN:
-        return SKIPPED
-
-    est_kind, est_root, est_quality = _canonical(est)
-    if ref_kind == "no_chord" or est_kind != "chord":
-        return MATCH if (ref_kind == "no_chord" and est_kind == "no_chord") else MISMATCH
-    if ref_root != est_root:
-        return MISMATCH
-
-    if kind == ROOT:
-        return MATCH
-    if kind == THIRDS:
-        return MATCH if _third_class(ref_quality) == _third_class(est_quality) else MISMATCH
-    ref_template = chords.TEMPLATES[ref_quality]
-    est_template = chords.TEMPLATES[est_quality]
-    if kind == TRIADS:
-        same = ref_template & _TRIAD_CLASSES == est_template & _TRIAD_CLASSES
-        return MATCH if same else MISMATCH
-    if kind == SEVENTHS:
-        same = ref_template & _SEVENTH_CLASSES == est_template & _SEVENTH_CLASSES
-        return MATCH if same else MISMATCH
-    if kind == TETRADS:
-        return MATCH if ref_template == est_template else MISMATCH
-    raise ValueError(f"unknown comparator {kind!r}")
+    grade = _grade(_column(kind), _keys(ref)[0], _keys(est)[1])
+    return SKIPPED if grade is None else MATCH if grade else MISMATCH
 
 
 def _merged_segments(ref, est):
-    """(duration, ref_label, est_label) over the merged partition.
+    """(segments, keys) over the merged partition of the two annotations.
 
-    The partition spans the reference annotation; estimate time outside
-    its own intervals (including beyond its end) reads as no-chord, so
-    the estimate is implicitly truncated or extended to the span.
+    Each segment is (duration, ref id, est id); an id numbers a distinct
+    label of this call (0 is no-chord), and ``keys[id]`` holds its
+    ``_keys``. The partition spans the reference annotation; estimate
+    time outside its own intervals (including beyond its end) reads as
+    no-chord, so the estimate is implicitly truncated or extended to the
+    span.
     """
     if not ref.intervals:
         raise ValueError("empty reference annotation")
@@ -128,25 +136,41 @@ def _merged_segments(ref, est):
                 if span_start < t < span_end:
                     points.add(t)
     order = sorted(points)
-    out = []
+    ids = {chords.ChordLabel.no_chord(): 0}
+    ref_ids = [ids.setdefault(label, len(ids)) for _, _, label in ref.intervals]
+    est_ids = [ids.setdefault(label, len(ids)) for _, _, label in est.intervals]
+    segments = []
     for lo, hi in zip(order, order[1:]):
         mid = 0.5 * (lo + hi)
-        out.append((hi - lo, ref.label_at(mid), est.label_at(mid)))
-    return out
+        i, j = ref.index_at(mid), est.index_at(mid)
+        segments.append((hi - lo, 0 if i is None else ref_ids[i], 0 if j is None else est_ids[j]))
+    return segments, [_keys(label) for label in ids]
 
 
-def _recall(segments, kind):
-    """(matched / non-skipped duration or None, non-skipped duration)."""
-    matched = 0.0
-    total = 0.0
-    for duration, ref_label, est_label in segments:
-        result = compare(kind, ref_label, est_label)
-        if result == SKIPPED:
-            continue
-        total += duration
-        if result == MATCH:
-            matched += duration
-    return (matched / total if total > 0.0 else None), total
+def _recalls(segments, keys, kinds):
+    """Per kind: (matched / non-skipped duration or None, non-skipped duration).
+
+    A reference id's graded kinds and each distinct (ref id, est id)
+    pair's matched kinds are worked out once. Durations still add up
+    segment by segment, in order, as a per-segment loop would.
+    """
+    columns = [_column(kind) for kind in kinds]
+    graded = [[j for j, c in enumerate(columns) if ref_keys[c] is not None]
+              for ref_keys, _ in keys]
+    matched = [0.0] * len(kinds)
+    total = [0.0] * len(kinds)
+    pairs = {}
+    for duration, ref_id, est_id in segments:
+        for j in graded[ref_id]:
+            total[j] += duration
+        hits = pairs.get((ref_id, est_id))
+        if hits is None:
+            ref_keys, est_keys = keys[ref_id][0], keys[est_id][1]
+            hits = pairs[ref_id, est_id] = [
+                j for j in graded[ref_id] if _grade(columns[j], ref_keys, est_keys)]
+        for j in hits:
+            matched[j] += duration
+    return [(m / t if t > 0.0 else None, t) for m, t in zip(matched, total)]
 
 
 def wcsr(ref, est, kind):
@@ -155,7 +179,7 @@ def wcsr(ref, est, kind):
     Score is matched duration over non-skipped duration; when every
     segment is skipped the score is undefined and reported as None.
     """
-    return _recall(_merged_segments(ref, est), kind)
+    return _recalls(*_merged_segments(ref, est), (kind,))[0]
 
 
 @dataclass(frozen=True)
@@ -173,10 +197,9 @@ class EvalResult:
 
 def evaluate_all(ref, est):
     """Run every comparator over one (reference, estimate) pair."""
-    segments = _merged_segments(ref, est)
-    recalls = {kind: _recall(segments, kind) for kind in COMPARATORS}
-    return EvalResult({kind: score for kind, (score, _) in recalls.items()},
-                      {kind: total for kind, (_, total) in recalls.items()})
+    recalls = _recalls(*_merged_segments(ref, est), COMPARATORS)
+    return EvalResult({kind: score for kind, (score, _) in zip(COMPARATORS, recalls)},
+                      {kind: total for kind, (_, total) in zip(COMPARATORS, recalls)})
 
 
 def frames_to_annotation(classes, vocab):
@@ -187,16 +210,16 @@ def frames_to_annotation(classes, vocab):
     """
     if len(classes) == 0:
         raise ValueError("empty class sequence")
+    labels = {chords.SKIP: chords.ChordLabel.unknown()}
     intervals = []
     run_start = 0
     for t in range(1, len(classes) + 1):
         if t < len(classes) and classes[t] == classes[run_start]:
             continue
         class_id = classes[run_start]
-        if class_id == chords.SKIP:
-            label = chords.ChordLabel.unknown()
-        else:
-            label = chords.parse_chord(chords.class_to_label(class_id, vocab))
+        label = labels.get(class_id)
+        if label is None:
+            label = labels[class_id] = chords.parse_chord(chords.class_to_label(class_id, vocab))
         intervals.append((chords.frame_time(run_start), chords.frame_time(t), label))
         run_start = t
     return chords.Annotation(tuple(intervals))

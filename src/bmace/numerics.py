@@ -308,8 +308,9 @@ def silu(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     """ln(1 + e^x), with the exact identity branch for large x."""
     out = Tensor._wrap(_softplus(x.data))
-    sig = _sigmoid(x.data)
-    record_op(out, (x,), lambda g: (g * sig,))
+    if recording():
+        sig = _sigmoid(x.data)
+        record_op(out, (x,), lambda g: (g * sig,))
     return out
 
 

@@ -187,6 +187,14 @@ class TestParseLab:
         with pytest.raises(ParseError, match="line 1"):
             parse_lab("0.0 1.0 H:maj")
 
+    def test_repeated_bad_label_reports_its_first_line(self):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_lab("0 1 C:maj\n1 2 H:min\n2 3 C:maj\n3 4 H:min")
+
+    def test_enharmonic_tokens_parse_equal(self):
+        ann = parse_lab("0 1 Db:min\n1 2 C#:min\n2 3 Db:min")
+        assert {label for _, _, label in ann.intervals} == {parse_chord("C#:min")}
+
     def test_empty_text_is_empty_annotation(self):
         assert parse_lab("").intervals == ()
 
@@ -207,6 +215,16 @@ class TestParseLab:
             (3.0, 4.0, parse_chord("G:7")),
         ))
         assert ann.label_at(t) == scan_label_at(ann, t)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.999, 4.0, float("nan")])
+    def test_index_at_matches_linear_scan(self, t):
+        ann = Annotation((
+            (0.5, 1.0, parse_chord("C:maj")),
+            (1.0, 2.0, parse_chord("A:min")),
+            (3.0, 4.0, parse_chord("G:7")),
+        ))
+        want = next((i for i, (s, e, _) in enumerate(ann.intervals) if s <= t < e), None)
+        assert ann.index_at(t) == want
 
     @pytest.mark.parametrize("t", [-1.0, 0.0, 5.0])
     def test_empty_annotation_is_no_chord(self, t):

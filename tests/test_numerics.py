@@ -166,6 +166,15 @@ class TestNonlinearities:
     def test_softplus_large_argument_identity(self):
         assert abs(nm.softplus(t64([100.0])).data[0] - 100.0) <= 1e-9
 
+    def test_softplus_untaped_bits_and_taped_gradient(self):
+        x = np.linspace(-40.0, 40.0, 81, dtype=np.float32)
+        want = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
+        untaped = nm.softplus(nm.tensor(x, dtype=nm.STANDARD)).data
+        assert untaped.dtype == np.float32 and untaped.tobytes() == want.tobytes()
+        p = t64(x)
+        (g,) = nm.grad(lambda: nm.sum_all(nm.softplus(p)), [p])
+        assert np.max(np.abs(g.data - 1.0 / (1.0 + np.exp(-p.data)))) <= 1e-15
+
     # The softmax properties below are checked on exp(log_softmax_rows),
     # the softmax the training loss uses.
     def test_softmax_uniform(self):

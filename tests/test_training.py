@@ -505,7 +505,7 @@ class TestPrediction:
 
     def test_long_clip_pass_keeps_one_chunk_of_scan_state(self):
         # 2,600 frames (about 4 min) with the default bmace model peaked at
-        # 21.4 MB with numpy 2.4.6. Whole-clip scan state would add two
+        # 14.0 MB with numpy 2.4.6. Whole-clip scan state would add two
         # 21-MB frames x d_inner x n_state arrays per block.
         rng = np.random.default_rng(26)
         feats = ft.FeatureMatrix(rng.normal(size=(2600, 144)))
@@ -518,7 +518,7 @@ class TestPrediction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * 2 ** 20
+        assert peak <= 16 * 2 ** 20
 
     def test_untaped_blocks_drop_their_intermediates(self):
         # 10,000 frames with the default bmace model peaked at 52.8 MB with
