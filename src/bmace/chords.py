@@ -112,6 +112,10 @@ class ChordLabel:
     ``bass`` is the bass degree as semitones above the root and plays no
     part in classification. The two tokens without pitch content set
     ``special`` to NO_CHORD or UNKNOWN and leave the rest empty.
+
+    Labels are built only by ``parse_chord``, ``no_chord`` and
+    ``unknown``, which guarantee all of the above, so the class itself
+    checks nothing.
     """
 
     root: int | None
@@ -119,22 +123,6 @@ class ChordLabel:
     intervals: frozenset
     bass: int = 0
     special: str | None = None
-
-    def __post_init__(self):
-        if self.special is not None:
-            if self.special not in (NO_CHORD, UNKNOWN):
-                raise ValueError(f"bad special token {self.special!r}")
-            if self.root is not None or self.quality is not None or self.intervals:
-                raise ValueError("special labels carry no pitch content")
-            return
-        if not isinstance(self.root, int) or not 0 <= self.root <= 11:
-            raise ValueError(f"root must be a pitch class 0..11, got {self.root!r}")
-        if not all(isinstance(i, int) and 0 <= i <= 11 for i in self.intervals):
-            raise ValueError("intervals must be pitch classes 0..11")
-        if not 0 <= self.bass <= 11:
-            raise ValueError(f"bass must be a pitch class 0..11, got {self.bass!r}")
-        if self.quality is not None and TEMPLATES.get(self.quality) != self.intervals:
-            raise ValueError(f"quality {self.quality!r} does not match the interval set")
 
     @classmethod
     def no_chord(cls):

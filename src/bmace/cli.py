@@ -133,6 +133,8 @@ def cmd_train(args):
     except tr.TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ValueError as exc:  # an empty split, or one with no frame to score
+        raise CliError(str(exc)) from exc
     mpath, bpath = md.save_checkpoint(_ensure_parent(args.out), model_cfg, result.params, extra_meta={
         "stats": result.stats.to_dict(),
         "vocab": vocab.name,

@@ -199,13 +199,6 @@ def selective_scan_assoc(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
     return _scan(inputs, A, D, impl="assoc")
 
 
-def block_shapes(d: int, e: int, n: int, r: int, k: int) -> dict[str, tuple[int, ...]]:
-    """Tensor shapes of one block, in MambaBlockParams field order."""
-    return {"in_proj": (d, 2 * e), "conv_w": (e, k), "conv_b": (e,),
-            "x_proj": (e, r + 2 * n), "dt_proj": (r, e), "dt_bias": (e,),
-            "A_log": (e, n), "D": (e,), "out_proj": (e, d), "norm_gain": (d,)}
-
-
 @dataclass
 class MambaBlockParams:
     """Parameters of one gated selective-state-space block.
@@ -216,6 +209,10 @@ class MambaBlockParams:
     out_proj (e, d), norm_gain (d,). As in the Mamba block, the input and
     output projections carry no bias. ``named_tensors`` yields the fields
     in declaration order, which is the tensor order of a checkpoint.
+
+    Shapes are checked where parameters enter, against
+    ``model.tensor_shapes``: ``init_model`` builds to it, ``load_checkpoint``
+    checks every stored tensor and training slices its vector by it.
     """
 
     in_proj: Tensor
@@ -228,30 +225,6 @@ class MambaBlockParams:
     D: Tensor
     out_proj: Tensor
     norm_gain: Tensor
-
-    def __post_init__(self):
-        k = self.conv_w.shape[1]
-        expect = block_shapes(self.d_model, self.d_inner, self.n_state, self.dt_rank, k)
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {got}")
-
-    @property
-    def d_model(self) -> int:
-        return self.in_proj.shape[0]
-
-    @property
-    def d_inner(self) -> int:
-        return self.conv_w.shape[0]
-
-    @property
-    def n_state(self) -> int:
-        return self.A_log.shape[1]
-
-    @property
-    def dt_rank(self) -> int:
-        return self.dt_proj.shape[0]
 
     def named_tensors(self, prefix: str = ""):
         for f in fields(self):
@@ -267,10 +240,12 @@ def mamba_block(x: Tensor, params: MambaBlockParams, scan_impl: str = "seq") -> 
     scan_impl picks the scan evaluator: "seq" runs, "assoc" is the
     reference it is checked against.
     """
-    if x.data.ndim != 2 or x.shape[1] != params.d_model:
-        raise ShapeError(f"block input must be (L,{params.d_model}), got {x.shape}")
+    d = params.in_proj.shape[0]
+    e, n = params.A_log.shape
+    r = params.dt_proj.shape[0]
+    if x.data.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"block input must be (L,{d}), got {x.shape}")
 
-    e, n, r = params.d_inner, params.n_state, params.dt_rank
     # Each large intermediate is dropped after its last use, so an untaped
     # pass holds few (L, d_inner) arrays at once; a tape keeps what it needs.
     proj = matmul(rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS), params.in_proj)

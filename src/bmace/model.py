@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensorio
-from .mamba import MambaBlockParams, block_shapes, mamba_block
+from .mamba import MambaBlockParams, mamba_block
 from .numerics import (
     HIGH,
     STANDARD,
@@ -228,9 +228,14 @@ def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
 # Accounting
 
 def tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter tensor the config implies, in checkpoint order."""
-    d = cfg.d_model
-    block = block_shapes(d, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k)
+    """Shape of every parameter tensor the config implies, in checkpoint order.
+
+    Each block's tensors follow MambaBlockParams field order.
+    """
+    d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
+    block = {"in_proj": (d, 2 * e), "conv_w": (e, k), "conv_b": (e,),
+             "x_proj": (e, r + 2 * n), "dt_proj": (r, e), "dt_bias": (e,),
+             "A_log": (e, n), "D": (e,), "out_proj": (e, d), "norm_gain": (d,)}
     shapes = {"fc_in": (cfg.n_bins, d), "fc_bias": (d,)}
     for prefix in ("block_a.", "block_b."):
         shapes.update((prefix + name, shape) for name, shape in block.items())

@@ -1,10 +1,12 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 The operation set is exactly what the chord models need: matrix products,
-depthwise causal convolution, SiLU / softplus / log-softmax nonlinearities, time
-reversal, feature concatenation, and a few elementwise and reduction helpers
-for composing losses. Two precision modes are supported: HIGH (float64, used
-by tests and oracles) and STANDARD (float32, used for training).
+depthwise causal convolution, SiLU and softplus nonlinearities, RMS
+normalization, time reversal, feature concatenation, and a few elementwise
+and reduction helpers. The training loss records its own tape entry
+(``training.cross_entropy``). Two precision modes are supported: HIGH
+(float64, used by tests and oracles) and STANDARD (float32, used for
+training).
 
 Tensors are immutable once created; every operation allocates its output.
 Broadcasting is deliberately restricted to scalar-with-tensor arithmetic and
@@ -314,18 +316,6 @@ def softplus(x: Tensor) -> Tensor:
     return out
 
 
-def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log-softmax; gradients match softmax exactly."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"log_softmax_rows needs a 2-D tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor._wrap(shifted - lse)
-    soft = np.exp(out.data)
-    record_op(out, (x,), lambda g: (g - soft * g.sum(axis=1, keepdims=True),))
-    return out
-
-
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """Root-mean-square normalization with a learned per-channel gain.
 
@@ -386,34 +376,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def vjp(g):
         gx = np.zeros(shape, dtype=g.dtype)
         gx[:, start:stop] = g
-        return (gx,)
-
-    record_op(out, (x,), vjp)
-    return out
-
-
-def masked_gather_mean(x: Tensor, indices: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean of x[t, indices[t]] over rows where mask[t] is True.
-
-    Rows with mask False contribute nothing, to the value and (exactly) to
-    the gradient. All-False masks are an error: the mean would be undefined.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"masked_gather_mean needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    msk = np.asarray(mask, dtype=bool)
-    if idx.shape != (x.shape[0],) or msk.shape != (x.shape[0],):
-        raise ShapeError(f"indices/mask must have shape ({x.shape[0]},)")
-    rows = np.nonzero(msk)[0]
-    if rows.size == 0:
-        raise ValueError("masked_gather_mean: every row is masked out")
-    picked = x.data[rows, idx[rows]]
-    out = Tensor._wrap(np.asarray(picked.mean(), dtype=x.dtype))
-    shape = x.shape
-
-    def vjp(g):
-        gx = np.zeros(shape, dtype=g.dtype)
-        gx[rows, idx[rows]] = g / rows.size
         return (gx,)
 
     record_op(out, (x,), vjp)

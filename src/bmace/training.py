@@ -1,9 +1,12 @@
 """Desk-scale supervised training over synthetic chord audio.
 
-The loop is deliberately plain: masked cross-entropy per segment, batch
-gradients averaged in a fixed order, global-norm clipping, Adam with
-bias correction, and early stopping on validation loss. Everything is
-seeded, single-threaded over optimizer state, and bit-reproducible.
+The loop is deliberately plain: cross-entropy per segment (one tape
+entry), batch gradients averaged in a fixed order, global-norm clipping,
+Adam with bias correction, and early stopping on validation loss.
+Everything is seeded, single-threaded over optimizer state, and
+bit-reproducible. A frame whose label the vocabulary cannot express
+carries the SKIP target; ``build_dataset`` is the one place that drops
+windows with no other frame.
 
 Normalization statistics come from the training split only; validation
 and test features reuse them.
@@ -71,20 +74,34 @@ class TrainResult:
 
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood over non-SKIP frames."""
+    """Mean negative log-softmax of the target class over non-SKIP frames.
+
+    One tape entry on the logits; SKIP rows get exactly zero gradient.
+    """
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
-        raise nm.ShapeError(
-            f"targets must be ({logits.shape[0]},), got {targets.shape}")
-    keep = targets != SKIP
-    if not keep.any():
+    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
+        raise nm.ShapeError(f"cross_entropy needs (L, classes) logits and (L,) targets, "
+                            f"got {logits.shape} and {targets.shape}")
+    rows = np.nonzero(targets != SKIP)[0]
+    if rows.size == 0:
         raise ValueError("every frame is masked out; nothing to train on")
-    live = targets[keep]
-    if live.min() < 0 or live.max() >= logits.shape[1]:
+    cols = targets[rows]
+    if cols.min() < 0 or cols.max() >= logits.shape[1]:
         raise ValueError("target class out of range")
-    safe = np.where(keep, targets, 0)
-    picked = nm.masked_gather_mean(nm.log_softmax_rows(logits), safe, keep)
-    return nm.mul(picked, -1.0)
+    x = logits.data
+    shifted = x - x.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = Tensor._wrap(np.asarray(-logp[rows, cols].mean(), dtype=x.dtype))
+    if nm.recording():
+        soft = np.exp(logp)
+
+        def vjp(g):
+            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx[rows, cols] = -g / rows.size
+            return (gx - soft * gx.sum(axis=1, keepdims=True),)
+
+        nm.record_op(out, (logits,), vjp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,10 +176,16 @@ def clip_segments(example, vocab, stats):
                                      ft.windows(targets, fill=SKIP))]
 
 
-def build_dataset(examples, vocab, stats):
-    segments = []
-    for example in examples:
-        segments.extend(clip_segments(example, vocab, stats))
+def build_dataset(examples, vocab, stats, split):
+    """The clips' windows (``clip_segments``) that hold a non-SKIP frame.
+
+    Raises ValueError naming ``split`` and the vocabulary if none is left.
+    """
+    segments = [segment for example in examples
+                for segment in clip_segments(example, vocab, stats)
+                if (segment[1] != SKIP).any()]
+    if not segments:
+        raise ValueError(f"no {split} frame has a class in the {vocab.name} vocabulary")
     return segments
 
 
@@ -231,23 +254,17 @@ def _evaluate_split(flat, model_cfg, segments):
     """(mean loss, framewise accuracy) over a list of segments, no tape."""
     params = _params_from_flat(flat, model_cfg)
     loss_sum = 0.0
-    loss_n = 0
     correct = 0
     counted = 0
     for feats, targets in segments:
-        keep = targets != SKIP
-        if not keep.any():
-            continue
         x = Tensor(feats, dtype=STANDARD)
         logits = md.forward(params, model_cfg, x)
         loss_sum += float(cross_entropy(logits, targets).data)
-        loss_n += 1
+        keep = targets != SKIP
         pred = np.argmax(logits.data, axis=1)
         correct += int((pred[keep] == targets[keep]).sum())
         counted += int(keep.sum())
-    if loss_n == 0:
-        raise ValueError("no scorable segments in the split")
-    return loss_sum / loss_n, correct / counted
+    return loss_sum / len(segments), correct / counted
 
 
 def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
@@ -262,8 +279,8 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     if not train_clips or not val_clips:
         raise ValueError("train and validation splits must both be non-empty")
     stats = ft.compute_norm_stats([c.features for c in train_clips])
-    train_segments = build_dataset(train_clips, vocab, stats)
-    val_segments = build_dataset(val_clips, vocab, stats)
+    train_segments = build_dataset(train_clips, vocab, stats, "training")
+    val_segments = build_dataset(val_clips, vocab, stats, "validation")
 
     flat, state = _init_training(model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
@@ -278,18 +295,13 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
         started = time.perf_counter()
         perm = rng.permutation(len(train_segments))
         loss_sum = 0.0
-        loss_n = 0
         norms = []
         for lo in range(0, len(perm), train_cfg.batch_size):
             batch = [train_segments[i] for i in perm[lo:lo + train_cfg.batch_size]]
-            scorable = [seg for seg in batch if (seg[1] != SKIP).any()]
-            if not scorable:
-                continue
             flat, state, losses, norm = _adam_batch_step(
-                flat, state, model_cfg, train_cfg, scorable)
+                flat, state, model_cfg, train_cfg, batch)
             norms.append(norm)
             loss_sum = sum(losses, loss_sum)
-            loss_n += len(losses)
         seconds = time.perf_counter() - started
 
         val_loss, val_accuracy = _evaluate_split(flat, model_cfg, val_segments)
@@ -297,14 +309,14 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append({
             "epoch": epoch,
-            "train_loss": loss_sum / max(loss_n, 1),
+            "train_loss": loss_sum / len(perm),
             "val_loss": val_loss,
             "val_accuracy": val_accuracy,
         })
         print(f"epoch {epoch}: train loss {history[-1]['train_loss']:.4f}, "
               f"val loss {val_loss:.4f}, val accuracy {val_accuracy:.4f}, "
-              f"{loss_n / seconds:.1f} segments/s, "
-              f"grad norm {sum(norms) / max(len(norms), 1):.3g} (pre-clip mean)",
+              f"{len(perm) / seconds:.1f} segments/s, "
+              f"grad norm {sum(norms) / len(norms):.3g} (pre-clip mean)",
               file=sys.stderr)
         if val_loss < best_val:
             best_val = val_loss

@@ -201,6 +201,19 @@ class TestTrainCommand:
         assert code == cli.EXIT_USAGE
         assert "song1.wav" in err
 
+    def test_corpus_with_no_class_in_the_vocabulary_is_a_usage_error(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        sus4 = chords.Annotation(((0.0, 2.0, chords.parse_chord("C:sus4")),))
+        for i in range(4):
+            ft.write_wav(audio / f"song{i}.wav", ft.synth_chord_clip(sus4, seed=i))
+            write_lab(audio / f"song{i}.lab", sus4)
+        code, out, err = run_cli(capsys, *self.audio_train_args(audio, tmp_path / "m"))
+        assert code == cli.EXIT_USAGE
+        assert err == "error: no training frame has a class in the majmin vocabulary\n"
+        assert out == ""
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("duration", ["0", "-1", "nan"])
     def test_bad_duration_is_a_usage_error(self, capsys, tmp_path, duration):
         args = self.train_args(tmp_path / "m")

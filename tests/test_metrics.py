@@ -248,6 +248,21 @@ class TestCompare:
                  if compare(kind, ref, est) != reference_compare(kind, ref, est)]
         assert wrong == []
 
+    def test_spelled_labels_hold_the_label_invariants(self):
+        # ChordLabel checks nothing itself; parse_chord must guarantee these.
+        for text in SPELLED_LABELS:
+            label = parse_chord(text)
+            if text in ("N", "X"):
+                assert (label.special, label.root, label.quality, label.intervals,
+                        label.bass) == (text, None, None, frozenset(), 0)
+                continue
+            assert label.special is None
+            assert type(label.root) is int and 0 <= label.root <= 11, text
+            assert all(type(i) is int and 0 <= i <= 11 for i in label.intervals), text
+            assert type(label.bass) is int and 0 <= label.bass <= 11, text
+            matches = [q for q in QUALITIES if TEMPLATES[q] == label.intervals]
+            assert label.quality == (matches[0] if matches else None), text
+
     def test_match_sets_nest_over_the_full_grid(self):
         implications = (
             (mt.TETRADS, mt.TRIADS),

@@ -54,6 +54,14 @@ class TestParamCounts:
         cfg = cfg_for(md.BMACE)
         assert md.count_params(cfg) == materialized(cfg)
 
+    def test_init_model_follows_the_shape_table(self):
+        wide = dict(d_model=6, n_state=3, dt_rank=1, conv_k=3, expand=2)
+        for variant in md.VARIANTS:
+            for n_classes, kw in ((25, TINY), (170, wide)):
+                cfg = cfg_for(variant, n_classes, **kw)
+                got = [(name, t.shape) for name, t in md.init_model(cfg).named_tensors()]
+                assert got == list(md.tensor_shapes(cfg).items())
+
     def test_tiny_config_hand_tally(self):
         # d=4, e=4, n=2, r=2, k=2, C=3, mace-v.
         cfg = cfg_for(md.MACE_V, n_classes=3, **TINY)

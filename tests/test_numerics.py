@@ -175,38 +175,6 @@ class TestNonlinearities:
         (g,) = nm.grad(lambda: nm.sum_all(nm.softplus(p)), [p])
         assert np.max(np.abs(g.data - 1.0 / (1.0 + np.exp(-p.data)))) <= 1e-15
 
-    # The softmax properties below are checked on exp(log_softmax_rows),
-    # the softmax the training loss uses.
-    def test_softmax_uniform(self):
-        y = np.exp(nm.log_softmax_rows(t64(np.zeros((2, 4)))).data)
-        assert np.max(np.abs(y - 0.25)) <= 1e-15
-
-    def test_softmax_known_row(self):
-        y = np.exp(nm.log_softmax_rows(t64([[0.0, math.log(3.0)]])).data)
-        assert y[0, 0] == pytest.approx(0.25, abs=1e-12)
-        assert y[0, 1] == pytest.approx(0.75, abs=1e-12)
-
-    def test_softmax_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((5, 7))
-        a = nm.log_softmax_rows(t64(x)).data
-        b = nm.log_softmax_rows(t64(x + 123.456)).data
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        y = np.exp(nm.log_softmax_rows(t64(rng.standard_normal((20, 9)) * 10)).data)
-        assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-12
-        assert np.all(y > 0.0) and np.all(y < 1.0)
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((6, 5))
-        a = nm.log_softmax_rows(t64(x)).data
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-        b = np.log(e / e.sum(axis=1, keepdims=True))
-        assert np.max(np.abs(a - b)) <= 1e-12
-
     def test_rmsnorm_unit_rms(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 8)) * 3.0
@@ -307,7 +275,7 @@ class TestGrad:
         def loss(ps):
             xx, ww, bb = ps
             h = nm.silu(nm.add_bias(nm.matmul(xx, ww), bb))
-            return nm.sum_all(nm.mul(nm.log_softmax_rows(h), h))
+            return nm.sum_all(nm.mul(nm.softplus(h), h))
 
         assert check_gradients(loss, [x, w, b]) <= REL_TOLERANCE
 
@@ -319,7 +287,6 @@ def _unary_cases():
         ("softplus", nm.softplus),
         ("exp", nm.exp),
         ("reverse_time", nm.reverse_time),
-        ("log_softmax_rows", nm.log_softmax_rows),
     ]
 
 
@@ -409,23 +376,3 @@ class TestFiniteDifferenceSweep:
                 return nm.add(nm.sum_all(nm.mul(c, probe)), nm.sum_all(piece))
 
             assert check_gradients(loss, [a, b]) <= REL_TOLERANCE
-
-    def test_masked_gather_mean_grad_and_skip_exactness(self):
-        for seed in range(25):
-            rng = np.random.default_rng(600 + seed)
-            L, C = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-            x = t64(rng.standard_normal((L, C)))
-            idx = rng.integers(0, C, size=L)
-            mask = rng.random(L) < 0.7
-            if not mask.any():
-                mask[0] = True
-
-            def loss(ps):
-                return nm.masked_gather_mean(nm.log_softmax_rows(ps[0]), idx, mask)
-
-            assert check_gradients(loss, [x]) <= REL_TOLERANCE
-            # Masked-out rows contribute exactly zero: perturbing them is a no-op.
-            base = loss([x]).item()
-            bumped = x.data.copy()
-            bumped[~mask] += 17.0
-            assert loss([nm.Tensor(bumped)]).item() == base

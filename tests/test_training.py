@@ -39,7 +39,58 @@ class TestTrainConfig:
             tr.TrainConfig(patience=0)
 
 
+def reference_cross_entropy(logits, targets):
+    """(value, logits gradient) of the three taped ops cross_entropy replaced.
+
+    Log-softmax rows, then the mean over non-SKIP rows of the target
+    entries, then a negation; the gradient replays their adjoints in turn.
+    """
+    x = logits.data
+    shifted = x - x.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.nonzero(targets != SKIP)[0]
+    minus_one = x.dtype.type(-1.0)
+    value = np.asarray(logp[rows, targets[rows]].mean(), dtype=x.dtype) * minus_one
+    g = np.ones((), dtype=x.dtype) * minus_one
+    gx = np.zeros(x.shape, dtype=x.dtype)
+    gx[rows, targets[rows]] = g / rows.size
+    return value, gx - np.exp(logp) * gx.sum(axis=1, keepdims=True)
+
+
 class TestCrossEntropy:
+    @pytest.mark.parametrize("dtype", [STANDARD, HIGH], ids=["float32", "float64"])
+    def test_matches_three_op_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            L, C = int(rng.integers(1, 40)), int(rng.integers(2, 30))
+            logits = Tensor(rng.standard_normal((L, C)) * 4.0, dtype=dtype)
+            targets = rng.integers(0, C, size=L)
+            targets[rng.random(L) < 0.3] = SKIP
+            targets[rng.integers(L)] = rng.integers(C)
+            with Tape() as tape:
+                loss = tr.cross_entropy(logits, targets)
+            (g,) = tape.gradients(loss, [logits])
+            want_value, want_grad = reference_cross_entropy(logits, targets)
+            untaped = tr.cross_entropy(logits, targets)
+            assert loss.dtype == dtype and g.dtype == dtype
+            assert loss.data.tobytes() == untaped.data.tobytes() == want_value.tobytes()
+            assert g.data.tobytes() == want_grad.tobytes()
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 5))
+        shifted = x + rng.uniform(-100.0, 100.0, size=(6, 1))
+        targets = np.array([0, SKIP, 4, 2, 1, SKIP])
+        grads = []
+        for values in (x, shifted):
+            logits = Tensor(values)
+            with Tape() as tape:
+                loss = tr.cross_entropy(logits, targets)
+            grads.append((loss.item(), tape.gradients(loss, [logits])[0].data))
+        (a, ga), (b, gb) = grads
+        assert abs(a - b) <= 1e-12
+        assert np.max(np.abs(ga - gb)) <= 1e-12
+
     def test_uniform_logits_give_log_n_classes(self):
         logits = Tensor(np.zeros((7, 25)))
         targets = np.arange(7) % 25
@@ -320,6 +371,25 @@ class TestClipSegments:
         stats = ft.compute_norm_stats([example.features])
         (feats, _), = tr.clip_segments(example, chords.MAJMIN_25, stats)
         assert feats.dtype == np.float32
+
+
+class TestBuildDataset:
+    def test_all_skip_windows_are_left_out(self):
+        # 270 frames (25.1 s): C:sus4, which the 25-class vocabulary cannot
+        # express, for 15 s, then C:maj. The first two windows are all SKIP.
+        rng = np.random.default_rng(40)
+        annotation = chords.Annotation(((0.0, 15.0, chords.parse_chord("C:sus4")),
+                                        (15.0, 26.0, chords.parse_chord("C"))))
+        example = tr.ClipExample("half", ft.FeatureMatrix(rng.standard_normal((270, 144))),
+                                 annotation)
+        stats = ft.compute_norm_stats([example.features])
+        windows = tr.clip_segments(example, chords.MAJMIN_25, stats)
+        kept = tr.build_dataset([example], chords.MAJMIN_25, stats, "training")
+        scorable = [w for w in windows if np.any(w[1] != SKIP)]
+        assert len(windows) - len(scorable) == 2 and len(kept) == len(scorable)
+        for (feats, targets), (want_feats, want_targets) in zip(kept, scorable):
+            assert np.array_equal(feats, want_feats)
+            assert np.array_equal(targets, want_targets)
 
 
 class TestCorpus:
