@@ -207,8 +207,17 @@ def _estimate_pairs_from_model(ckpt_path, audio_dir):
         raise CliError(f"cannot load checkpoint {ckpt_path}: {exc}") from exc
     if "stats" not in meta or "vocab" not in meta:
         raise CliError(f"checkpoint {ckpt_path} lacks normalization stats or vocabulary")
-    stats = ft.NormStats.from_dict(meta["stats"])
-    vocab = chords.VOCABS[meta["vocab"]]
+    try:
+        stats = ft.NormStats.from_dict(meta["stats"])
+    except KeyError as exc:
+        raise CliError(f"checkpoint {ckpt_path}: stats lack {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"checkpoint {ckpt_path}: stats are invalid: {exc}") from exc
+    try:
+        vocab = chords.VOCABS[meta["vocab"]]
+    except (KeyError, TypeError):
+        raise CliError(f"checkpoint {ckpt_path}: vocab {meta['vocab']!r} is not one of "
+                       f"{sorted(chords.VOCABS)}") from None
     return {stem: (ref, tr.predict_annotation(params, cfg, stats, feats, vocab))
             for stem, feats, ref in _audio_lab_pairs(audio_dir)}
 
@@ -218,6 +227,9 @@ def cmd_evaluate(args):
         pairs = _estimate_pairs_from_model(args.model, args.audio)
     else:
         pairs = _estimate_pairs_from_labs(args.ref, args.est)
+    for stem, (ref, _) in pairs.items():
+        if not ref.intervals:  # an empty estimate is valid: it reads as no-chord
+            raise CliError(f"reference annotation for song id {stem!r} holds no intervals")
     results = {stem: mt.evaluate_all(ref, est) for stem, (ref, est) in pairs.items()}
     report = {
         "songs": {stem: result.to_dict() for stem, result in results.items()},
@@ -364,10 +376,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "evaluate":
-        have_labs = args.ref and args.est
-        have_model = args.model and args.audio
-        if not have_labs and not have_model:
-            parser.error("evaluate needs --ref/--est or --model/--audio")
+        flags = (args.ref, args.est, args.model, args.audio)
+        if [bool(f) for f in flags] not in ([True, True, False, False],
+                                            [False, False, True, True]):
+            parser.error("evaluate needs exactly one of --ref/--est or --model/--audio")
     try:
         return args.func(args)
     except CliError as exc:

@@ -203,16 +203,12 @@ def selective_scan_assoc(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
 class MambaBlockParams:
     """Parameters of one gated selective-state-space block.
 
-    Shapes (d = d_model, e = d_inner, n = state size, r = step-size rank,
-    k = conv width): in_proj (d, 2e), conv_w (e, k), conv_b (e,),
-    x_proj (e, r+2n), dt_proj (r, e), dt_bias (e,), A_log (e, n), D (e,),
-    out_proj (e, d), norm_gain (d,). As in the Mamba block, the input and
-    output projections carry no bias. ``named_tensors`` yields the fields
-    in declaration order, which is the tensor order of a checkpoint.
-
-    Shapes are checked where parameters enter, against
-    ``model.tensor_shapes``: ``init_model`` builds to it, ``load_checkpoint``
-    checks every stored tensor and training slices its vector by it.
+    ``model.tensor_shapes`` gives each field's shape and is checked where
+    parameters enter: ``init_model`` draws to it, ``load_checkpoint`` checks
+    every stored tensor and training slices its vector by it. As in the
+    Mamba block, the input and output projections carry no bias.
+    ``named_tensors`` yields the fields in declaration order, which is the
+    tensor order of a checkpoint.
     """
 
     in_proj: Tensor

@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensorio
+from .features import N_BINS
 from .mamba import MambaBlockParams, mamba_block
 from .numerics import (
-    HIGH,
     STANDARD,
     ShapeError,
     Tensor,
@@ -47,8 +47,6 @@ MACE_H = "mace-h"
 BMACE = "bmace"
 VARIANTS = (MACE_V, MACE_H, BMACE)
 
-N_BINS = 144
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -59,19 +57,21 @@ class ModelConfig:
     dt_rank: int = 8
     conv_k: int = 4
     expand: int = 1
-    n_bins: int = N_BINS
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.n_bins != N_BINS:
-            raise ValueError(f"n_bins is fixed at {N_BINS}, got {self.n_bins}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
         for field in ("d_model", "n_state", "dt_rank", "conv_k", "expand"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+
+    @property
+    def n_bins(self) -> int:
+        """Input width: every variant reads the same CQT frames."""
+        return N_BINS
 
     @property
     def d_inner(self) -> int:
@@ -86,6 +86,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; other keys, such as older checkpoints' n_bins, are ignored."""
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -105,9 +106,6 @@ class ModelParams:
         yield from self.block_b.named_tensors("block_b.")
         yield "head", self.head
         yield "head_bias", self.head_bias
-
-    def astype(self, dtype) -> "ModelParams":
-        return self.map_arrays(lambda name, a: a.astype(dtype))
 
     def map_arrays(self, fn) -> "ModelParams":
         """Rebuild with fn(name, ndarray) applied to every tensor."""
@@ -142,51 +140,37 @@ def params_from_dict(tensors: dict[str, Tensor]) -> ModelParams:
 # --------------------------------------------------------------------------
 # Initialization
 
-def _uniform(rng: np.random.Generator, shape, fan_in) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
-
-
-def _init_block(rng: np.random.Generator, cfg: ModelConfig) -> MambaBlockParams:
-    d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
-    in_proj = _uniform(rng, (d, 2 * e), d)
-    conv_w = _uniform(rng, (e, k), k)
-    conv_b = _uniform(rng, (e,), k)
-    x_proj = _uniform(rng, (e, r + 2 * n), e)
-    dt_proj = _uniform(rng, (r, e), r)
-    # Step sizes start log-uniform in [0.001, 0.1]; dt_bias is the softplus
-    # preimage so softplus(dt_bias) lands exactly there.
-    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=e))
-    dt_bias = Tensor(dt + np.log(-np.expm1(-dt)))
-    a_log = Tensor(np.log(np.tile(np.arange(1.0, n + 1.0), (e, 1))))
-    d_skip = Tensor(np.ones(e))
-    out_proj = _uniform(rng, (e, d), e)
-    norm_gain = Tensor(np.ones(d))
-    return MambaBlockParams(in_proj=in_proj, conv_w=conv_w, conv_b=conv_b,
-                            x_proj=x_proj, dt_proj=dt_proj, dt_bias=dt_bias,
-                            A_log=a_log, D=d_skip, out_proj=out_proj,
-                            norm_gain=norm_gain)
+def _draw(rng: np.random.Generator, kind: str, shape: tuple, fan_in: dict) -> np.ndarray:
+    if kind == "dt_bias":
+        # Step sizes start log-uniform in [0.001, 0.1]; dt_bias is the softplus
+        # preimage so softplus(dt_bias) lands exactly there.
+        dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=shape))
+        return dt + np.log(-np.expm1(-dt))
+    if kind == "A_log":
+        return np.log(np.tile(np.arange(1.0, shape[1] + 1.0), (shape[0], 1)))
+    if kind in ("D", "norm_gain"):
+        return np.ones(shape)
+    bound = 1.0 / math.sqrt(fan_in[kind])
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_model(cfg: ModelConfig, dtype=STANDARD) -> ModelParams:
     """Seeded initialization; the same seed always gives bit-identical params.
 
-    Weights and biases draw from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
-    Exceptions: A_log[c,j] = ln(j+1), dt_bias is the softplus preimage of a
-    log-uniform step size in [0.001, 0.1], and D and norm gains start at one.
-    Draw order: fc_in, fc_bias, block_a fields, block_b fields, head,
-    head_bias. Draws happen in float64 and are then cast.
+    Tensors are drawn one by one in ``tensor_shapes`` order. Weights and
+    biases draw from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)). Exceptions:
+    A_log[c,j] = ln(j+1), dt_bias is the softplus preimage of a log-uniform
+    step size in [0.001, 0.1], and D and norm gains start at one. Draws
+    happen in float64 and are then cast.
     """
+    fan_in = {"fc_in": cfg.n_bins, "fc_bias": cfg.n_bins,
+              "in_proj": cfg.d_model, "conv_w": cfg.conv_k, "conv_b": cfg.conv_k,
+              "x_proj": cfg.d_inner, "dt_proj": cfg.dt_rank, "out_proj": cfg.d_inner,
+              "head": cfg.head_in, "head_bias": cfg.head_in}
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams(
-        fc_in=_uniform(rng, (cfg.n_bins, cfg.d_model), cfg.n_bins),
-        fc_bias=_uniform(rng, (cfg.d_model,), cfg.n_bins),
-        block_a=_init_block(rng, cfg),
-        block_b=_init_block(rng, cfg),
-        head=_uniform(rng, (cfg.head_in, cfg.n_classes), cfg.head_in),
-        head_bias=_uniform(rng, (cfg.n_classes,), cfg.head_in),
-    )
-    return params if dtype == HIGH else params.astype(dtype)
+    return params_from_dict({
+        name: Tensor(_draw(rng, name.rpartition(".")[2], shape, fan_in), dtype=dtype)
+        for name, shape in tensor_shapes(cfg).items()})
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +214,10 @@ def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
 def tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter tensor the config implies, in checkpoint order.
 
-    Each block's tensors follow MambaBlockParams field order.
+    This is the one statement of the parameter layout: ``init_model`` draws
+    to it, ``count_params`` sums it, ``load_checkpoint`` checks against it
+    and training slices its parameter vector by it. Each block's tensors
+    follow MambaBlockParams field order.
     """
     d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
     block = {"in_proj": (d, 2 * e), "conv_w": (e, k), "conv_b": (e,),
@@ -286,21 +273,21 @@ def count_flops(cfg: ModelConfig, n_frames: int) -> int:
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams,
                     extra_meta: dict | None = None) -> tuple:
-    """Write params to <base>.json + <base>.bin in the bmace-ckpt-1 format."""
+    """Write params to <base>.json + <base>.bin."""
     meta = {"config": cfg.to_dict()}
     if extra_meta:
         meta.update(extra_meta)
     named = ((name, t.data) for name, t in params.named_tensors())
-    return tensorio.write_tensors(path, tensorio.CHECKPOINT_FORMAT, meta, named)
+    return tensorio.write_tensors(path, meta, named)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
-    """Read a bmace-ckpt-1 checkpoint; params come back in STANDARD precision.
+    """Read a checkpoint; params come back in STANDARD precision.
 
     Every tensor the stored config implies must be present, with that shape
     and finite values, and no other tensor may be.
     """
-    _, meta, arrays = tensorio.read_tensors(path, expect_format=tensorio.CHECKPOINT_FORMAT)
+    meta, arrays = tensorio.read_tensors(path)
     cfg = ModelConfig.from_dict(meta["config"])
     expected = tensor_shapes(cfg)
     unknown = sorted(set(arrays) - set(expected))

@@ -1,14 +1,12 @@
 """Manifest-plus-blob container for named float32 tensors.
 
-Two files: ``<base>.json`` holds a UTF-8 JSON manifest (format tag, free-form
-metadata, and per-tensor name/shape/dtype/byte-offset records) and
-``<base>.bin`` holds the raw little-endian float32 values back to back in
-manifest order. The manifest records the blob's length and SHA-256, and
-loading checks both (containers written before the digest was recorded
-are checked on length only). Each file is written beside its target and
-renamed over it, blob first and manifest last, so a reader never sees a
-half-written file.
-Model checkpoints use the tag "bmace-ckpt-1".
+Two files: ``<base>.json`` holds a UTF-8 JSON manifest (the format tag
+"bmace-ckpt-1", free-form metadata, and per-tensor name/shape/dtype/byte-offset
+records) and ``<base>.bin`` holds the raw little-endian float32 values back
+to back in manifest order. The manifest records the blob's length and
+SHA-256, and loading checks the tag and both. Each file is written beside
+its target and renamed over it, blob first and manifest last, so a reader
+never sees a half-written file.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ def write_atomically(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]:
+def write_tensors(path, meta: dict, named_arrays) -> tuple[Path, Path]:
     """Write (name, array) pairs; arrays are stored as little-endian float32."""
     records = []
     chunks = []
@@ -85,7 +83,7 @@ def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]
         offset += len(raw)
     blob = b"".join(chunks)
     manifest = {
-        "format": fmt,
+        "format": CHECKPOINT_FORMAT,
         "meta": meta,
         "tensors": records,
         "blob_bytes": offset,
@@ -97,23 +95,22 @@ def write_tensors(path, fmt: str, meta: dict, named_arrays) -> tuple[Path, Path]
     return mpath, bpath
 
 
-def read_tensors(path, expect_format: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a container back; returns (format tag, meta, name -> float32 array)."""
+def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container back; returns (meta, name -> float32 array)."""
     mpath, bpath = manifest_path(path), blob_path(path)
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise BlobFormatError(f"{mpath}: manifest is not valid JSON: {exc}") from exc
     fmt = manifest.get("format")
-    if expect_format is not None and fmt != expect_format:
-        raise BlobFormatError(f"{mpath}: format {fmt!r}, expected {expect_format!r}")
+    if fmt != CHECKPOINT_FORMAT:
+        raise BlobFormatError(f"{mpath}: format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
     blob = bpath.read_bytes()
     declared = manifest.get("blob_bytes")
     if declared != len(blob):
         raise BlobFormatError(
             f"{bpath}: blob holds {len(blob)} bytes but manifest declares {declared}")
-    digest = manifest.get("blob_sha256")
-    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+    if hashlib.sha256(blob).hexdigest() != manifest.get("blob_sha256"):
         raise BlobFormatError(f"{bpath}: blob does not match the manifest's SHA-256")
     tensors: dict[str, np.ndarray] = {}
     for rec in manifest["tensors"]:
@@ -127,4 +124,4 @@ def read_tensors(path, expect_format: str | None = None) -> tuple[str, dict, dic
             raise BlobFormatError(f"{bpath}: tensor {rec['name']!r} overruns the blob")
         tensors[rec["name"]] = np.frombuffer(blob, dtype=_F32, count=count,
                                              offset=start).reshape(shape).copy()
-    return fmt, manifest.get("meta", {}), tensors
+    return manifest.get("meta", {}), tensors

@@ -395,6 +395,66 @@ class TestEvaluateCommand:
             cli.main(["evaluate", "--ref", str(tmp_path)])
         assert exc.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ("--ref", "--est", "--model"),
+        ("--model", "--audio", "--ref"),
+    ], ids=["labs-plus-model", "model-plus-ref"])
+    def test_mixed_modes_are_usage_errors(self, tmp_path, flags):
+        argv = ["evaluate"]
+        for flag in flags:
+            argv += [flag, str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda meta: meta.update(vocab="foo"), "vocab 'foo'"),
+        (lambda meta: meta["stats"].update(variance=-1.0), "variance must be positive"),
+        (lambda meta: meta["stats"].pop("variance"), "stats lack 'variance'"),
+    ], ids=["unknown-vocab", "negative-variance", "missing-variance"])
+    def test_bad_checkpoint_metadata_is_a_usage_error(self, capsys, tmp_path, edit, field):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 1)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        manifest_file = ckpt.with_suffix(".json")
+        manifest = json.loads(manifest_file.read_text())
+        edit(manifest["meta"])
+        manifest_file.write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
+        assert field in err
+
+    @pytest.mark.parametrize("text", ["", "# no intervals\n"], ids=["empty", "comment-only"])
+    def test_empty_reference_lab_is_a_usage_error(self, capsys, tmp_path, text):
+        ref = tmp_path / "ref"
+        est = tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        (ref / "s1.lab").write_text("0 2 C:maj\n")
+        (est / "s1.lab").write_text(text)
+        # An empty estimate is valid: it scores as all no-chord.
+        code, out, _ = run_cli(capsys, "evaluate", "--ref", str(ref), "--est", str(est))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["songs"]["s1"]["majmin"] == 0.0
+        (ref / "s1.lab").write_text(text)
+        code, out, err = run_cli(capsys, "evaluate", "--ref", str(ref), "--est", str(est))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: reference annotation for song id 's1' holds no intervals\n"
+
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        (audio / "song1.lab").write_text(text)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: reference annotation for song id 'song1' holds no intervals\n"
+
 
 class TestGradcheckCommand:
     def test_single_variant_passes(self, capsys):

@@ -1,5 +1,6 @@
 """Model variants: parameter accounting, forward semantics, checkpoints."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -33,13 +34,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg_for("mace-x")
 
-    def test_rejects_wrong_bins(self):
-        with pytest.raises(ValueError):
-            md.ModelConfig(variant=md.BMACE, n_classes=25, n_bins=128)
-
     def test_round_trip_dict(self):
         cfg = cfg_for(md.BMACE, n_classes=170, d_model=32, seed=7)
         assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_input_width_is_not_recorded_and_older_configs_load(self):
+        # Older checkpoints record "n_bins": 144; from_dict ignores the key.
+        cfg = cfg_for(md.BMACE, n_classes=170, seed=7)
+        d = cfg.to_dict()
+        assert "n_bins" not in d
+        assert md.ModelConfig.from_dict({**d, "n_bins": 144}) == cfg
 
 
 class TestParamCounts:
@@ -124,6 +128,19 @@ class TestInit:
         for block in (params.block_a, params.block_b):
             dt = np.log1p(np.exp(block.dt_bias.data))
             assert np.all(dt >= 1e-3 - 1e-12) and np.all(dt <= 1e-1 + 1e-12)
+
+    @pytest.mark.parametrize("cfg, dtype, digest", [
+        (cfg_for(md.BMACE), nm.STANDARD,
+         "d70e3c7673ad249b17a020425207226b806b1aaae3554513a5e11270b85511c2"),
+        (cfg_for(md.BMACE, **TINY), nm.HIGH,
+         "4f197f7083c0fd2bdd56e864884ab5ca85ed3b15a1793673cebf8862696ec04f"),
+    ], ids=["bmace-majmin-float32", "tiny-float64"])
+    def test_init_bytes_are_pinned(self, cfg, dtype, digest):
+        # Every tensor's bytes in checkpoint order; a changed draw order,
+        # fan-in or cast changes the digest.
+        params = md.init_model(cfg, dtype=dtype)
+        data = b"".join(t.data.tobytes() for _, t in params.named_tensors())
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_d_and_gain_start_at_one(self):
         params = md.init_model(cfg_for(md.BMACE, **TINY))
@@ -260,7 +277,7 @@ class TestCheckpoint:
         with pytest.raises(tensorio.BlobFormatError, match="SHA-256"):
             md.load_checkpoint(base)
 
-    def test_container_without_digest_still_loads(self, tmp_path):
+    def test_container_without_digest_rejected(self, tmp_path):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
         base = tmp_path / "ckpt"
         md.save_checkpoint(base, cfg, md.init_model(cfg))
@@ -268,15 +285,15 @@ class TestCheckpoint:
         manifest = json.loads(manifest_file.read_text())
         del manifest["blob_sha256"]
         manifest_file.write_text(json.dumps(manifest))
-        assert md.load_checkpoint(base)[0] == cfg
+        with pytest.raises(tensorio.BlobFormatError, match="SHA-256"):
+            md.load_checkpoint(base)
 
     def test_unknown_tensor_rejected(self, tmp_path):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
         named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()]
         named.append(("block_a.in_bias", np.zeros(2 * cfg.d_inner, dtype=np.float32)))
         base = tmp_path / "ckpt"
-        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
-                               {"config": cfg.to_dict()}, named)
+        tensorio.write_tensors(base, {"config": cfg.to_dict()}, named)
         with pytest.raises(tensorio.BlobFormatError, match="block_a.in_bias"):
             md.load_checkpoint(base)
 
@@ -285,8 +302,7 @@ class TestCheckpoint:
         named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()
                  if name != "block_b.D"]
         base = tmp_path / "ckpt"
-        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
-                               {"config": cfg.to_dict()}, named)
+        tensorio.write_tensors(base, {"config": cfg.to_dict()}, named)
         with pytest.raises(tensorio.BlobFormatError, match="block_b.D"):
             md.load_checkpoint(base)
 
@@ -300,8 +316,7 @@ class TestCheckpoint:
         other = md.ModelConfig.from_dict({**cfg.to_dict(), field: getattr(cfg, field) + 1})
         named = [(name, t.data) for name, t in md.init_model(cfg).named_tensors()]
         base = tmp_path / "ckpt"
-        tensorio.write_tensors(base, tensorio.CHECKPOINT_FORMAT,
-                               {"config": other.to_dict()}, named)
+        tensorio.write_tensors(base, {"config": other.to_dict()}, named)
         with pytest.raises(tensorio.BlobFormatError, match=rf"'{tensor}' has shape"):
             md.load_checkpoint(base)
 
@@ -309,11 +324,27 @@ class TestCheckpoint:
         cfg = cfg_for(md.MACE_H, n_classes=170, **TINY)
         base = tmp_path / "ckpt"
         md.save_checkpoint(base, cfg, md.init_model(cfg))
-        _, _, arrays = tensorio.read_tensors(base)
+        _, arrays = tensorio.read_tensors(base)
         assert sum(a.size for a in arrays.values()) == md.count_params(cfg)
 
     def test_wrong_format_tag_rejected(self, tmp_path):
-        base = tmp_path / "cache"
-        tensorio.write_tensors(base, "bmace-feat-1", {}, [("x", np.ones(3))])
-        with pytest.raises(tensorio.BlobFormatError):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        manifest_file = tensorio.manifest_path(base)
+        manifest = json.loads(manifest_file.read_text())
+        manifest["format"] = "bmace-feat-1"
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(tensorio.BlobFormatError, match="bmace-feat-1"):
+            md.load_checkpoint(base)
+
+    def test_other_input_width_rejected(self, tmp_path):
+        # The config cannot choose the input width: a checkpoint that records
+        # 128 bins and stores a matching fc_in fails the fc_in shape check.
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        named = [(name, np.zeros((128, cfg.d_model)) if name == "fc_in" else t.data)
+                 for name, t in md.init_model(cfg).named_tensors()]
+        base = tmp_path / "ckpt"
+        tensorio.write_tensors(base, {"config": {**cfg.to_dict(), "n_bins": 128}}, named)
+        with pytest.raises(tensorio.BlobFormatError, match=r"'fc_in' has shape \(128, 4\)"):
             md.load_checkpoint(base)
