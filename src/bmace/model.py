@@ -24,6 +24,7 @@ count exactly linear in sequence length.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -62,6 +63,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for field in ("n_classes", "d_model", "n_state", "dt_rank", "conv_k", "expand", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
         for field in ("d_model", "n_state", "dt_rank", "conv_k", "expand"):
@@ -87,6 +92,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of ``to_dict``; other keys, such as older checkpoints' n_bins, are ignored."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a mapping, got {type(d).__name__}")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 

@@ -102,9 +102,14 @@ def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise BlobFormatError(f"{mpath}: manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BlobFormatError(f"{mpath}: manifest is a JSON {type(manifest).__name__}, not an object")
     fmt = manifest.get("format")
     if fmt != CHECKPOINT_FORMAT:
         raise BlobFormatError(f"{mpath}: format {fmt!r}, expected {CHECKPOINT_FORMAT!r}")
+    meta, records = manifest.get("meta", {}), manifest.get("tensors")
+    if not isinstance(meta, dict) or not isinstance(records, list):
+        raise BlobFormatError(f"{mpath}: manifest needs a 'meta' object and a 'tensors' list")
     blob = bpath.read_bytes()
     declared = manifest.get("blob_bytes")
     if declared != len(blob):
@@ -113,15 +118,18 @@ def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     if hashlib.sha256(blob).hexdigest() != manifest.get("blob_sha256"):
         raise BlobFormatError(f"{bpath}: blob does not match the manifest's SHA-256")
     tensors: dict[str, np.ndarray] = {}
-    for rec in manifest["tensors"]:
-        if rec["dtype"] != _DTYPE_TAG:
-            raise BlobFormatError(f"{mpath}: unsupported tensor dtype {rec['dtype']!r}")
-        shape = tuple(int(s) for s in rec["shape"])
+    for rec in records:
+        try:
+            name, dtype, start = rec["name"], rec["dtype"], int(rec["offset"])
+            shape = tuple(int(s) for s in rec["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BlobFormatError(f"{mpath}: malformed tensor record {rec!r}") from exc
+        if dtype != _DTYPE_TAG:
+            raise BlobFormatError(f"{mpath}: unsupported tensor dtype {dtype!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = int(rec["offset"])
         end = start + count * 4
         if end > len(blob):
-            raise BlobFormatError(f"{bpath}: tensor {rec['name']!r} overruns the blob")
-        tensors[rec["name"]] = np.frombuffer(blob, dtype=_F32, count=count,
-                                             offset=start).reshape(shape).copy()
-    return manifest.get("meta", {}), tensors
+            raise BlobFormatError(f"{bpath}: tensor {name!r} overruns the blob")
+        tensors[name] = np.frombuffer(blob, dtype=_F32, count=count,
+                                      offset=start).reshape(shape).copy()
+    return meta, tensors

@@ -427,6 +427,31 @@ class TestEvaluateCommand:
         assert err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda manifest: [], "manifest is a JSON list, not an object"),
+        (lambda manifest: manifest["meta"]["config"].update(d_model="128") or manifest,
+         "d_model must be an integer, got '128'"),
+        (lambda manifest: manifest.update(meta=[]) or manifest,
+         "manifest needs a 'meta' object and a 'tensors' list"),
+        (lambda manifest: manifest["meta"].update(config=[]) or manifest,
+         "config must be a mapping, got list"),
+        (lambda manifest: manifest["tensors"][0].update(shape=5) or manifest,
+         "malformed tensor record"),
+    ], ids=["manifest-not-object", "config-field-type", "meta-not-object",
+            "config-not-object", "shape-not-a-list"])
+    def test_malformed_checkpoint_json_is_a_usage_error(self, capsys, tmp_path, edit, cause):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 1)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        manifest_file = ckpt.with_suffix(".json")
+        manifest_file.write_text(json.dumps(edit(json.loads(manifest_file.read_text()))))
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot load checkpoint {ckpt}: ") and err.count("\n") == 1
+        assert cause in err
+
     @pytest.mark.parametrize("text", ["", "# no intervals\n"], ids=["empty", "comment-only"])
     def test_empty_reference_lab_is_a_usage_error(self, capsys, tmp_path, text):
         ref = tmp_path / "ref"

@@ -3,8 +3,10 @@
 import functools
 import math
 import struct
+import sys
 import tracemalloc
 import wave
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,12 +257,13 @@ class TestCqt:
 
     @pytest.mark.parametrize("samples", [
         1, 100, 2047, 2048, 2049, 23010, 23011, 23012, 30000,
-        *((frames - 1) * ft.HOP + extra for frames in (255, 256, 257, 513) for extra in (0, 2047)),
+        *((frames - 1) * ft.HOP + extra
+          for frames in (127, 128, 129, 255, 256, 257, 513) for extra in (0, 2047)),
     ])
     def test_noise_matches_per_bin_reference(self, samples):
         # Below N_MAX some kernels are clamped to the clip length, so an
-        # octave can mix clamped and unclamped bins. 255 to 513 frames
-        # straddle one and two _CQT_BLOCK blocks; with 2,047 extra samples
+        # octave can mix clamped and unclamped bins. 127 to 513 frames
+        # straddle one to four _CQT_BLOCK blocks; with 2,047 extra samples
         # the last frame's tail row ends at the end of the padded signal.
         clip = AudioClip(np.random.default_rng(samples).uniform(-0.5, 0.5, samples))
         assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
@@ -273,9 +276,53 @@ class TestCqt:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(pieces.nbytes + tail.nbytes for pieces, tail, _ in octaves)
-        assert kept > 17e6
+        kept = sum(pieces.nbytes + tail.nbytes for pieces, _, tail, _ in octaves)
+        assert kept > 15e6
         assert peak <= 1.1 * kept
+
+    def test_pieces_keep_only_bins_that_reach_them(self):
+        # At N_MAX, 92 of octave 0's 528 piece columns and 16 of octave 1's
+        # 240 would hold only zeros; each piece's last kept bin is nonzero.
+        octaves, _ = ft._cqt_plan(ft.N_MAX)
+        assert [48 * len(widths) - pieces.shape[1] for pieces, widths, _, _ in octaves] == [
+            92, 16, 0, 0, 0, 0]
+        for pieces, widths, _, _ in octaves:
+            start = 0
+            for width in widths:
+                assert np.any(pieces[:, start + width - 2:start + width])
+                start += width
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_output_does_not_depend_on_worker_count(self, monkeypatch, workers):
+        clip = AudioClip(np.random.default_rng(21).uniform(-0.5, 0.5, 300 * ft.HOP))
+        expected = cqt(clip).values
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(ft, "_cqt_pool", lambda: Recording(max_workers=workers))
+        assert np.array_equal(cqt(clip).values, expected)
+        assert len(submitted) == 6 * 3  # octaves times blocks of 301 frames
+
+    def test_concurrent_calls_match_sequential(self, monkeypatch):
+        # Two callers share the plan cache, and each runs its own pool:
+        # four workers on fewer cores, switching threads as often as it can.
+        rng = np.random.default_rng(22)
+        clips = [AudioClip(rng.uniform(-0.5, 0.5, n)) for n in (300 * ft.HOP, 200 * ft.HOP + 77)]
+        expected = [cqt(clip).values for clip in clips]
+        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as callers:
+                futures = [callers.submit(cqt, clip) for clip in clips]
+                got = [future.result(timeout=120).values for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_one_plan_for_every_long_clip(self, monkeypatch):
         assert ft.N_MAX == 23011
@@ -302,7 +349,7 @@ class TestCqt:
             tracemalloc.stop()
         assert ft._PLAN_CACHE == {}
         octaves, _ = ft._cqt_plan(max(lengths))
-        assert held <= sum(pieces.nbytes + tail.nbytes for pieces, tail, _ in octaves)
+        assert held <= sum(pieces.nbytes + tail.nbytes for pieces, _, tail, _ in octaves)
 
     def test_memory_bounded_on_long_clip(self):
         # A 45-s clip: copying every frame's window per bin peaked at 264 MB.
