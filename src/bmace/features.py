@@ -9,18 +9,16 @@ and runs over a whole song in one pass.
 
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
-in one real kernel matrix, each bin's real and imaginary columns side by
-side. Frames start one hop apart, so the padded signal is read as a view
-of hop rows, and the kernel matrix is stored cut into hop-length pieces
-laid side by side plus a shorter tail; each piece keeps only its nonzero
-prefix of columns, the bins whose windows reach it. An octave is then
-one wide product of the hop rows with the pieces, summed along the
-diagonal of pieces, plus the tail rows' product with the tail; no
-frame's window is ever copied. Each (octave, block of frames) is one job
-on a thread pool with one worker per available CPU, and the output's
-bytes do not depend on the worker count. Kernels depend on the clip
-length only below the longest kernel (~1.04 s), so one plan serves every
-longer clip.
+in one real ``[Re | Im]`` kernel matrix. Frames start one hop apart, so
+the padded signal is read as a view of hop rows, and the kernel matrix
+is stored cut into hop-length pieces laid side by side plus a shorter
+tail. An octave is then one wide product of the hop rows with the
+pieces, summed along the diagonal of pieces, plus the tail rows' product
+with the tail; no frame's window is ever copied. Each (octave, block of
+frames) is one job on a thread pool with one worker per available CPU,
+and the output's bytes do not depend on the worker count. Kernels
+depend on the clip length only below the longest kernel (~1.04 s), so
+one plan serves every longer clip.
 
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
@@ -219,11 +217,10 @@ _Q = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
 N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
 # Frames per block of an octave's product, and so per job of ``cqt``. A
 # block multiplies _CQT_BLOCK + full - 1 hop rows by the pieces, so it
-# recomputes the full - 1 rows it shares with the next block (8% at octave
-# 0, where full is 11); its largest product is 138 * 436 * 8 bytes
-# (0.48 MB) per worker. Octave 0 is about half the work, so with 256-frame
-# blocks a song under 24 s would keep no more than two workers busy.
-_CQT_BLOCK = 128
+# recomputes the full - 1 rows it shares with the next block (4% at octave
+# 0, where full is 11); its largest product is about 266 * 528 * 8 bytes
+# (1.1 MB) per worker.
+_CQT_BLOCK = 256
 
 _PLAN_CACHE = {}
 
@@ -237,43 +234,36 @@ _PARTIAL_HARMONIC = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
 
 
 def _octave_plan(lo, key):
-    """One octave's kernels in hop-row layout: (pieces, widths, tail, n_oct).
+    """One octave's kernels in hop-row layout: (pieces, tail, n_oct).
 
     Think of the octave as a real (n_oct, 48) matrix, n_oct being its
-    longest kernel: columns 2j and 2j + 1 hold the real and imaginary
-    parts of bin lo + j's kernel, zero-padded and centred at row offset
-    n_oct//2 - n_b//2. Its first full*HOP rows, full being
-    (n_oct - 1) // HOP, are cut into HOP-row pieces; the remaining 1 to
-    HOP rows are ``tail`` (n_oct - full*HOP, 48). Kernels shorten as the
-    bin rises and share one centre, so the bins whose windows reach piece
-    p fill its first widths[p] columns and the rest are zero. ``pieces``
-    (HOP, sum(widths)) holds these prefixes side by side, piece after
-    piece. The matrix itself is never built: each kernel column is
-    written straight into the two.
+    longest kernel: column j holds the real part and column 24 + j the
+    imaginary part of bin lo + j's kernel, zero-padded and centred at row
+    offset n_oct//2 - n_b//2. Its first full*HOP rows, full being
+    (n_oct - 1) // HOP, are cut into HOP-row pieces laid side by side as
+    ``pieces`` (HOP, full*48), piece p in columns 48p to 48p + 47; the
+    remaining 1 to HOP rows are ``tail``. The matrix itself is never
+    built: each kernel column is written straight into the two.
     """
+    width = 2 * BINS_PER_OCTAVE
     freqs = [FMIN * 2.0 ** (b / BINS_PER_OCTAVE) for b in range(lo, lo + BINS_PER_OCTAVE)]
     lengths = [min(math.ceil(_Q * SAMPLE_RATE / f), key) for f in freqs]
     n_oct = max(lengths)
     full = (n_oct - 1) // HOP
-    offsets = [n_oct // 2 - n_b // 2 for n_b in lengths]
-    widths = [2 * sum(off < (p + 1) * HOP and off + n_b > p * HOP
-                      for off, n_b in zip(offsets, lengths)) for p in range(full)]
-    starts = [sum(widths[:p]) for p in range(full)]
-    pieces = np.zeros((HOP, sum(widths)))
-    tail = np.zeros((n_oct - full * HOP, 2 * BINS_PER_OCTAVE))
+    pieces = np.zeros((HOP, full, width))
+    tail = np.zeros((n_oct - full * HOP, width))
     column = np.empty(n_oct)
-    for j, (freq, n_b, off) in enumerate(zip(freqs, lengths, offsets)):
+    for j, (freq, n_b) in enumerate(zip(freqs, lengths)):
         window = np.hanning(n_b) if n_b > 1 else np.ones(1)
         phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
         kernel = window * phase / n_b
-        for c, part in ((2 * j, kernel.real), (2 * j + 1, kernel.imag)):
+        off = n_oct // 2 - n_b // 2
+        for c, part in ((j, kernel.real), (BINS_PER_OCTAVE + j, kernel.imag)):
             column[:] = 0.0
             column[off:off + n_b] = part
-            for p in range(full):
-                if c < widths[p]:
-                    pieces[:, starts[p] + c] = column[p * HOP:(p + 1) * HOP]
+            pieces[:, :, c] = column[:full * HOP].reshape(full, HOP).T
             tail[:, c] = column[full * HOP:]
-    return pieces, widths, tail, n_oct
+    return pieces.reshape(HOP, full * width), tail, n_oct
 
 
 def _cqt_plan(n_samples):
@@ -288,7 +278,7 @@ def _cqt_plan(n_samples):
     if plan is not None:
         return plan
     octaves = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
-    pad = max(n_oct for *_, n_oct in octaves) // 2 + 1
+    pad = max(n_oct for _, _, n_oct in octaves) // 2 + 1
     plan = (octaves, pad)
     if key == N_MAX:
         _PLAN_CACHE[key] = plan
@@ -297,26 +287,28 @@ def _cqt_plan(n_samples):
 
 def _cqt_pool():
     """Executor for ``cqt``'s jobs: one worker per CPU this process may run on."""
-    return ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)))
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity mask
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers)
 
 
-def _cqt_block(rows, tails, pieces, widths, tail, dest):
+def _cqt_block(rows, tails, pieces, tail, dest):
     """Magnitudes of one block of frames in one octave, written into ``dest``.
 
     Frame i of the block is hop rows i to i + full - 1 of ``rows`` and
-    tail row i of ``tails``. Row i + p times piece p is added to the
-    first widths[p] columns of frame i's sum; the columns past them are
-    zero in piece p. ``dest`` is the block's (frames, 24) slice of the
-    output, which no other block touches.
+    tail row i of ``tails``; row i + p times piece p is added to frame
+    i's sum. ``dest`` is the block's (frames, 24) slice of the output,
+    which no other block touches.
     """
     f = len(dest)
+    width = 2 * BINS_PER_OCTAVE
     y = tails @ tail
     z = rows @ pieces
-    start = 0
-    for p, width in enumerate(widths):
-        y[:, :width] += z[p:p + f, start:start + width]
-        start += width
-    np.hypot(y[:, 0::2], y[:, 1::2], out=dest)
+    for p in range(pieces.shape[1] // width):
+        y += z[p:p + f, p * width:(p + 1) * width]
+    np.hypot(y[:, :BINS_PER_OCTAVE], y[:, BINS_PER_OCTAVE:], out=dest)
 
 
 def cqt(clip):
@@ -352,8 +344,8 @@ def cqt(clip):
     out = np.empty((frames, N_BINS))
     with _cqt_pool() as pool:
         jobs = []
-        for lo, (pieces, widths, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
-            full = len(widths)
+        for lo, (pieces, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
+            full = pieces.shape[1] // (2 * BINS_PER_OCTAVE)
             start = pad - n_oct // 2
             n_rows = (padded.size - start) // HOP
             rows = padded[start:start + n_rows * HOP].reshape(n_rows, HOP)
@@ -363,7 +355,7 @@ def cqt(clip):
             for t in range(0, frames, _CQT_BLOCK):
                 f = min(_CQT_BLOCK, frames - t)
                 jobs.append(pool.submit(
-                    _cqt_block, rows[t:t + f + full - 1], tails[t:t + f], pieces, widths, tail,
+                    _cqt_block, rows[t:t + f + full - 1], tails[t:t + f], pieces, tail,
                     out[t:t + f, lo:lo + BINS_PER_OCTAVE]))
         for job in jobs:
             job.result()

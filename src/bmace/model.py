@@ -63,10 +63,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for field in ("n_classes", "d_model", "n_state", "dt_rank", "conv_k", "expand", "seed"):
-            value = getattr(self, field)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+        for f in fields(self):  # types are strings under `from __future__ import annotations`
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be at least 2, got {self.n_classes}")
         for field in ("d_model", "n_state", "dt_rank", "conv_k", "expand"):

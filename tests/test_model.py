@@ -45,6 +45,14 @@ class TestConfig:
         assert "n_bins" not in d
         assert md.ModelConfig.from_dict({**d, "n_bins": 144}) == cfg
 
+    @pytest.mark.parametrize("field", ["n_classes", "d_model", "n_state", "dt_rank",
+                                       "conv_k", "expand", "seed"])
+    @pytest.mark.parametrize("value", ["128", 128.0, True])
+    def test_integer_fields_reject_other_types(self, field, value):
+        d = cfg_for(md.BMACE).to_dict()
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            md.ModelConfig.from_dict({**d, field: value})
+
 
 class TestParamCounts:
     def test_analytic_matches_materialized(self):
