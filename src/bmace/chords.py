@@ -16,6 +16,7 @@ score denominators.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -165,6 +166,9 @@ def _parse_degree(text, pos):
     return (_DEGREE_SEMITONES[number] + shift) % 12, pos
 
 
+# Labels are frozen, so every caller may share one per token. The cache is
+# bounded by distinct tokens, which repeat across the files of a corpus.
+@functools.lru_cache(maxsize=1024)
 def parse_chord(text):
     """Parse one chord token into a ChordLabel.
 
@@ -261,11 +265,12 @@ class Annotation:
     def __post_init__(self):
         prev_end = 0.0
         ends = []
-        for entry in self.intervals:
-            start, end, label = entry
-            if start < 0:
-                raise ValueError(f"negative start time {start}")
-            if not start < end:
+        for start, end, label in self.intervals:
+            if not 0.0 <= start < end < math.inf:
+                if not (math.isfinite(start) and math.isfinite(end)):
+                    raise ValueError(f"non-finite time in [{start}, {end})")
+                if start < 0:
+                    raise ValueError(f"negative start time {start}")
                 raise ValueError(f"empty interval [{start}, {end})")
             if start < prev_end:
                 raise ValueError("overlapping intervals")
@@ -301,13 +306,11 @@ def parse_lab(text):
     an error naming both lines, and gaps (leading or internal) are
     filled with no-chord intervals.
     """
-    labels = {}  # token text -> ChordLabel, so each distinct token parses once
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if len(fields) != 3:
             raise ParseError(f"line {lineno}: expected 'start end label', got {raw!r}")
         try:
@@ -315,23 +318,21 @@ def parse_lab(text):
             end = float(fields[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric time in {raw!r}") from None
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ParseError(f"line {lineno}: non-finite time in {raw!r}")
-        if start < 0 or end <= start:
+        if not 0.0 <= start < end < math.inf:
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ParseError(f"line {lineno}: non-finite time in {raw!r}")
             raise ParseError(f"line {lineno}: invalid interval [{start}, {end})")
-        label = labels.get(fields[2])
-        if label is None:
-            try:
-                label = labels[fields[2]] = parse_chord(fields[2])
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        entries.append((start, end, label, lineno))
+        try:
+            label = parse_chord(fields[2])
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        entries.append((start, end, lineno, label))
 
-    entries.sort(key=lambda e: (e[0], e[1]))
+    entries.sort()  # line numbers are distinct, so labels are never compared
     filled = []
     prev_end = 0.0
     prev_line = None
-    for start, end, label, lineno in entries:
+    for start, end, lineno, label in entries:
         if start < prev_end:
             raise ParseError(f"lines {prev_line} and {lineno} overlap")
         if start > prev_end:

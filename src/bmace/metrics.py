@@ -3,15 +3,17 @@
 Seven comparators grade an estimated annotation against a reference at
 increasing strictness: root only, root plus third, the triad, the triad
 plus seventh, the full quality template, the major/minor reduction, and
-a shared-pitch-class rule (at least three common tones). Each segment of
-the merged partition scores MATCH, MISMATCH, or SKIPPED; a comparator's
-recall is matched duration over non-skipped duration.
+a shared-pitch-class rule (at least three common tones). One walk over
+both interval lists, in time order, cuts the reference span into
+segments at every boundary of either annotation. Each segment scores
+MATCH, MISMATCH, or SKIPPED; a comparator's recall is matched duration
+over non-skipped duration.
 
-Each label is reduced once per call to a reference key and an estimate
-key per comparator. Under the first six comparators a segment is skipped
-when the reference key is None and matches when the two keys are equal.
-MIREX keys are pitch-class bitmasks, and a segment matches when the two
-share at least three bits.
+Each distinct label is reduced once per process (a bounded cache) to a
+reference key and an estimate key per comparator. Under the first six
+comparators a segment is skipped when the reference key is None and
+matches when the two keys are equal. MIREX keys are pitch-class
+bitmasks, and a segment matches when the two share at least three bits.
 
 Reference labels that cannot be read (unknown, or an interval set no
 template fits) are skipped by every comparator. Estimated labels never
@@ -22,6 +24,10 @@ MIREX its pitch classes.
 
 from __future__ import annotations
 
+import functools
+import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import chords
@@ -38,6 +44,7 @@ TETRADS = "tetrads"
 MAJMIN = "majmin"
 MIREX = "mirex"
 COMPARATORS = (ROOT, THIRDS, TRIADS, SEVENTHS, TETRADS, MAJMIN, MIREX)
+_COLUMNS = {kind: column for column, kind in enumerate(COMPARATORS)}
 
 # Interval classes making up the triad (root, third or sus tone, fifth)
 # and the same plus the seventh. Class 9 is excluded from the seventh
@@ -54,7 +61,9 @@ _UNREADABLE_KEY = "X"
 # No-chord's MIREX mask: three bits above the twelve pitch classes, so it
 # shares three tones with itself and none with any chord.
 _NO_CHORD_MASK = 0b111 << 12
-_MIREX_COLUMN = COMPARATORS.index(MIREX)
+_MIREX_COLUMN = _COLUMNS[MIREX]
+# Stands in for the estimate's next interval once the walk has passed its last.
+_PAST_END = (math.inf, math.inf, None)
 
 
 def _third_class(template):
@@ -65,6 +74,8 @@ def _third_class(template):
     return "none"
 
 
+# Bounded by distinct labels (a few hundred in any corpus), not by songs.
+@functools.lru_cache(maxsize=1024)
 def _keys(label):
     """(reference keys, estimate keys) of one label, one per comparator.
 
@@ -92,59 +103,92 @@ def _keys(label):
     return ref, est
 
 
-def _grade(column, ref_keys, est_keys):
-    """True (match), False (mismatch) or None (skipped) under one comparator."""
-    ref_key = ref_keys[column]
-    if ref_key is None:
-        return None
-    if column == _MIREX_COLUMN:
-        return (ref_key & est_keys[column]).bit_count() >= 3
-    return ref_key == est_keys[column]
+def _hits(columns, graded, ref_keys, est_keys):
+    """The indices j in ``graded`` whose comparator ``columns[j]`` matches.
+
+    ``graded`` lists only indices whose reference key is not None. Under
+    MIREX the two pitch-class masks must share three bits; under every
+    other comparator the keys must be equal.
+    """
+    hits = []
+    for j in graded:
+        c = columns[j]
+        if c == _MIREX_COLUMN:
+            if (ref_keys[c] & est_keys[c]).bit_count() >= 3:
+                hits.append(j)
+        elif ref_keys[c] == est_keys[c]:
+            hits.append(j)
+    return hits
 
 
 def _column(kind):
     try:
-        return COMPARATORS.index(kind)
-    except ValueError:
+        return _COLUMNS[kind]
+    except KeyError:
         raise ValueError(f"unknown comparator {kind!r}") from None
 
 
 def compare(kind, ref, est):
     """Grade one (reference, estimate) label pair under a comparator."""
-    grade = _grade(_column(kind), _keys(ref)[0], _keys(est)[1])
-    return SKIPPED if grade is None else MATCH if grade else MISMATCH
+    column = _column(kind)
+    ref_keys = _keys(ref)[0]
+    if ref_keys[column] is None:
+        return SKIPPED
+    return MATCH if _hits((column,), (0,), ref_keys, _keys(est)[1]) else MISMATCH
+
+
+def _walk(ref, ref_ids, est, est_ids):
+    """Yield (duration, ref id, est id) per segment of the merged partition.
+
+    One pass with an index into each interval list. A segment runs from
+    one boundary of either annotation to the next inside the reference
+    span, and a side with no interval there reads id 0 (no-chord).
+    """
+    lo, span_end = ref[0][0], ref[-1][1]
+    i = j = 0
+    n_est = len(est)
+    while j < n_est and est[j][1] <= lo:
+        j += 1
+    while lo < span_end:
+        ref_start, ref_end, _ = ref[i]
+        est_start, est_end, _ = est[j] if j < n_est else _PAST_END
+        if ref_start <= lo:
+            hi, ref_id = ref_end, ref_ids[i]
+        else:
+            hi, ref_id = ref_start, 0
+        if est_start <= lo:
+            est_id = est_ids[j]
+            if est_end < hi:
+                hi = est_end
+        else:
+            est_id = 0
+            if est_start < hi:
+                hi = est_start
+        yield hi - lo, ref_id, est_id
+        lo = hi
+        if ref_end <= lo:
+            i += 1
+        if est_end <= lo:
+            j += 1
 
 
 def _merged_segments(ref, est):
     """(segments, keys) over the merged partition of the two annotations.
 
-    Each segment is (duration, ref id, est id); an id numbers a distinct
-    label of this call (0 is no-chord), and ``keys[id]`` holds its
-    ``_keys``. The partition spans the reference annotation; estimate
-    time outside its own intervals (including beyond its end) reads as
-    no-chord, so the estimate is implicitly truncated or extended to the
-    span.
+    ``segments`` yields (duration, ref id, est id) in time order; an id
+    numbers a distinct label of this call (0 is no-chord), and
+    ``keys[id]`` holds its ``_keys``. The partition spans the reference
+    annotation; estimate time outside its own intervals (including
+    beyond its end) reads as no-chord, so the estimate is implicitly
+    truncated or extended to the span.
     """
     if not ref.intervals:
         raise ValueError("empty reference annotation")
-    span_start = ref.intervals[0][0]
-    span_end = ref.intervals[-1][1]
-    points = {span_start, span_end}
-    for annotation in (ref, est):
-        for start, end, _ in annotation.intervals:
-            for t in (start, end):
-                if span_start < t < span_end:
-                    points.add(t)
-    order = sorted(points)
     ids = {chords.ChordLabel.no_chord(): 0}
     ref_ids = [ids.setdefault(label, len(ids)) for _, _, label in ref.intervals]
     est_ids = [ids.setdefault(label, len(ids)) for _, _, label in est.intervals]
-    segments = []
-    for lo, hi in zip(order, order[1:]):
-        mid = 0.5 * (lo + hi)
-        i, j = ref.index_at(mid), est.index_at(mid)
-        segments.append((hi - lo, 0 if i is None else ref_ids[i], 0 if j is None else est_ids[j]))
-    return segments, [_keys(label) for label in ids]
+    return (_walk(ref.intervals, ref_ids, est.intervals, est_ids),
+            [_keys(label) for label in ids])
 
 
 def _recalls(segments, keys, kinds):
@@ -161,13 +205,13 @@ def _recalls(segments, keys, kinds):
     total = [0.0] * len(kinds)
     pairs = {}
     for duration, ref_id, est_id in segments:
-        for j in graded[ref_id]:
+        ref_graded = graded[ref_id]
+        for j in ref_graded:
             total[j] += duration
         hits = pairs.get((ref_id, est_id))
         if hits is None:
-            ref_keys, est_keys = keys[ref_id][0], keys[est_id][1]
-            hits = pairs[ref_id, est_id] = [
-                j for j in graded[ref_id] if _grade(columns[j], ref_keys, est_keys)]
+            hits = pairs[ref_id, est_id] = _hits(columns, ref_graded, keys[ref_id][0],
+                                                 keys[est_id][1])
         for j in hits:
             matched[j] += duration
     return [(m / t if t > 0.0 else None, t) for m, t in zip(matched, total)]
@@ -182,12 +226,39 @@ def wcsr(ref, est, kind):
     return _recalls(*_merged_segments(ref, est), (kind,))[0]
 
 
+class PerComparator(Mapping):
+    """Read-only {comparator: float or None} in COMPARATORS order.
+
+    The values sit in one float64 array, with NaN for None, so a result
+    kept per song costs about 180 bytes where a dict of floats costs 440.
+    No defined score or duration is NaN: annotation times are finite.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values):
+        self._values = array("d", (math.nan if v is None else v for v in values))
+
+    def __getitem__(self, kind):
+        value = self._values[_COLUMNS[kind]]
+        return None if math.isnan(value) else value
+
+    def __iter__(self):
+        return iter(COMPARATORS)
+
+    def __len__(self):
+        return len(COMPARATORS)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Per-comparator scores (None where undefined) and evaluated durations."""
 
-    scores: dict
-    durations: dict
+    scores: Mapping
+    durations: Mapping
 
     def to_dict(self):
         out = {kind: self.scores[kind] for kind in COMPARATORS}
@@ -198,8 +269,8 @@ class EvalResult:
 def evaluate_all(ref, est):
     """Run every comparator over one (reference, estimate) pair."""
     recalls = _recalls(*_merged_segments(ref, est), COMPARATORS)
-    return EvalResult({kind: score for kind, (score, _) in zip(COMPARATORS, recalls)},
-                      {kind: total for kind, (_, total) in zip(COMPARATORS, recalls)})
+    return EvalResult(PerComparator(score for score, _ in recalls),
+                      PerComparator(total for _, total in recalls))
 
 
 def frames_to_annotation(classes, vocab):

@@ -191,6 +191,56 @@ class TestParseLab:
         with pytest.raises(ParseError, match="^line 2: "):
             parse_lab("0 1 C:maj\n1 2 H:min\n2 3 C:maj\n3 4 H:min")
 
+    # A good file that puts every valid token of the bad files below in
+    # parse_chord's cache before each bad file is read.
+    CACHED_TOKENS = "0 1 C:maj\n1 2 D:min\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 C:maj\nabc 2.0 D:min", "line 2: non-numeric time in 'abc 2.0 D:min'"),
+        ("0 1 C:maj\n1.0 nan D:min", "line 2: non-finite time in '1.0 nan D:min'"),
+        ("0 1 C:maj\ninf 2 D:min", "line 2: non-finite time in 'inf 2 D:min'"),
+        ("0 1 C:maj\n1 -inf D:min", "line 2: non-finite time in '1 -inf D:min'"),
+        ("0 1 C:maj\n1.0 1.0 D:min", "line 2: invalid interval [1.0, 1.0)"),
+        ("0 1 C:maj\n-1.0 2.0 D:min", "line 2: invalid interval [-1.0, 2.0)"),
+        ("0 1 C:maj\n3.0 2.0 D:min", "line 2: invalid interval [3.0, 2.0)"),
+        ("0 1 C:maj\n1 2 D:min\n2 3 H:min\n3 4 C:maj",
+         "line 3: expected a root letter A..G, got 'H' (column 0)"),
+        ("0 1 C:maj\n1 2 D:mn", "line 2: unknown quality 'mn' (column 2)"),
+        ("# c\n\n0 1 C:maj\n 2 3 D:min\n1 2 C:maj\n1.5 1.7 D:min", "lines 5 and 6 overlap"),
+    ])
+    def test_errors_hold_after_their_tokens_are_cached(self, text, message):
+        for _ in range(2):
+            parse_lab(self.CACHED_TOKENS)
+            with pytest.raises(ParseError) as info:
+                parse_lab(text)
+            assert str(info.value) == message
+
+    def test_negative_zero_start_accepted_after_caching(self):
+        parse_lab(self.CACHED_TOKENS)
+        ann = parse_lab("-0.0 1 C:maj\n1 2 D:min")
+        assert ann.intervals == ((0.0, 1.0, parse_chord("C:maj")), (1.0, 2.0, parse_chord("D:min")))
+
+    def test_one_token_gives_one_shared_label(self):
+        first, second = parse_lab("0 1 F#:7\n1 2 F#:7").intervals
+        assert first[2] is second[2] is parse_chord("F#:7")
+
+    @pytest.mark.parametrize("start, end", [
+        (0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan")),
+        (float("-inf"), 1.0), (float("inf"), float("inf")),
+    ])
+    def test_annotation_rejects_non_finite_bounds(self, start, end):
+        with pytest.raises(ValueError, match="^non-finite time in "):
+            Annotation(((start, end, parse_chord("C:maj")),))
+
+    @pytest.mark.parametrize("start, end, message", [
+        (-1.0, 1.0, "negative start time -1.0"),
+        (1.0, 1.0, r"empty interval \[1.0, 1.0\)"),
+        (2.0, 1.0, r"empty interval \[2.0, 1.0\)"),
+    ])
+    def test_annotation_rejects_invalid_bounds(self, start, end, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Annotation(((start, end, parse_chord("C:maj")),))
+
     def test_enharmonic_tokens_parse_equal(self):
         ann = parse_lab("0 1 Db:min\n1 2 C#:min\n2 3 Db:min")
         assert {label for _, _, label in ann.intervals} == {parse_chord("C#:min")}

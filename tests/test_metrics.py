@@ -399,6 +399,56 @@ class TestEvaluateAll:
         want = reference_evaluate(ref, est)
         assert {kind: (result.scores[kind], result.durations[kind]) for kind in COMPARATORS} == want
 
+    @staticmethod
+    def _intervals(rng, start, stop, gap_rate=0.0):
+        """Random spelled labels over [start, stop); a gap follows an interval at ``gap_rate``."""
+        out = []
+        t = start
+        while t < stop:
+            end = min(t + float(rng.uniform(0.2, 2.5)), stop)
+            out.append((t, end, parse_chord(SPELLED_LABELS[int(rng.integers(len(SPELLED_LABELS)))])))
+            t = end + (float(rng.uniform(0.05, 1.0)) if rng.uniform() < gap_rate else 0.0)
+        return out
+
+    def _shapes(self, rng):
+        """(name, ref, est) for each annotation shape the merge walk must handle."""
+        late = self._intervals(rng, float(rng.uniform(0.5, 4.0)), 30.0)
+        yield "reference starts after 0", late, self._intervals(rng, 0.0, 30.0)
+        yield "estimate overhangs both ends", late, self._intervals(rng, 0.0, 34.0, 0.1)
+        yield "empty estimate", late, []
+        ref = self._intervals(rng, 0.0, 25.0, 0.2)
+        shared = [(start, end, parse_chord(SPELLED_LABELS[int(rng.integers(len(SPELLED_LABELS)))]))
+                  for start, end, _ in ref]
+        yield "every boundary shared", ref, shared
+        yield "identical pair", ref, ref
+        yield "gaps inside both", self._intervals(rng, 0.3, 28.0, 0.3), self._intervals(
+            rng, 0.0, 26.0, 0.3)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_merge_walk_matches_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng([seed, 17])
+        for shape, ref, est in self._shapes(rng):
+            ref, est = Annotation(tuple(ref)), Annotation(tuple(est))
+            result = evaluate_all(ref, est)
+            got = {kind: (result.scores[kind], result.durations[kind]) for kind in COMPARATORS}
+            assert got == reference_evaluate(ref, est), shape
+            assert {kind: wcsr(ref, est, kind) for kind in COMPARATORS} == got, shape
+
+    def test_scores_read_as_a_mapping_in_comparator_order(self):
+        result = evaluate_all(parse_lab("0 10 X"), parse_lab("0 4 C:maj\n4 10 D:maj"))
+        assert list(result.scores) == list(COMPARATORS)
+        assert dict(result.scores) == {kind: None for kind in COMPARATORS}
+        assert result.scores == {kind: None for kind in COMPARATORS}
+        assert dict(result.durations) == {kind: 0.0 for kind in COMPARATORS}
+        assert result.scores.get("nonsense", "missing") == "missing"
+        with pytest.raises(KeyError):
+            result.scores["nonsense"]
+        # Sevenths and maj-min skip a sus4 reference; the others grade it.
+        scores = evaluate_all(parse_lab("0 10 C:sus4"), parse_lab("0 10 C:maj")).scores
+        assert dict(scores) == {mt.ROOT: 1.0, mt.THIRDS: 0.0, mt.TRIADS: 0.0, mt.SEVENTHS: None,
+                                mt.TETRADS: 0.0, mt.MAJMIN: None, mt.MIREX: 0.0}
+        assert repr(scores) == repr(dict(scores))
+
     def test_to_dict_fields(self):
         ref = parse_lab("0 10 C:maj")
         d = evaluate_all(ref, ref).to_dict()
