@@ -21,6 +21,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .features import HOP, SAMPLE_RATE
+
 SKIP = -1
 
 NO_CHORD = "N"
@@ -403,8 +405,8 @@ def class_to_label(class_id, vocab):
 
 
 def frame_time(t):
-    """Center of frame ``t`` in s: t * hop / sample rate, in that order."""
-    return t * 2048 / 22050
+    """Center of frame ``t`` in s: t * HOP / SAMPLE_RATE, in that order."""
+    return t * HOP / SAMPLE_RATE
 
 
 def framewise_targets(annotation, n_frames, vocab):

@@ -40,8 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chords
-
 SAMPLE_RATE = 22050
 HOP = 2048
 N_BINS = 144
@@ -70,10 +68,9 @@ class UnsupportedRateError(ValueError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono audio: float samples in [-1, 1] at a fixed rate."""
+    """Mono audio: float samples in [-1, 1] at SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -81,11 +78,14 @@ class AudioClip:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+    @property
+    def sample_rate(self) -> int:
+        """Every clip runs at SAMPLE_RATE: ``read_wav`` rejects other rates."""
+        return SAMPLE_RATE
 
     @property
     def duration(self):
@@ -194,7 +194,7 @@ def read_wav(path):
         x = x.reshape(-1, n_channels).mean(axis=1)
     if rate != SAMPLE_RATE:
         raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
-    return AudioClip(np.clip(x, -1.0, 1.0, out=x), int(rate))
+    return AudioClip(np.clip(x, -1.0, 1.0, out=x))
 
 
 def write_wav(path, clip):
@@ -335,8 +335,6 @@ def cqt(clip):
     """
     if clip.samples.size < 1:
         raise ValueError("cannot transform an empty clip")
-    if clip.sample_rate != SAMPLE_RATE:
-        raise UnsupportedRateError(f"sample rate {clip.sample_rate} unsupported, expected {SAMPLE_RATE}")
     x = clip.samples
     octaves, pad = _cqt_plan(x.size)
     padded = np.pad(x, pad, mode="reflect")
@@ -468,28 +466,4 @@ def synth_chord_clip(progression, seed=0):
     if peak > 0:
         signal *= 0.5 / peak
     signal += rng.normal(0.0, NOISE_STD, total)
-    return AudioClip(signal, SAMPLE_RATE)
-
-
-def make_random_progression(seed, duration_s=10.0, vocab=None):
-    """Seeded random chord progression covering [0, duration_s].
-
-    Chords last uniform(1, 2.5) seconds; each is no-chord with probability
-    0.08, else a uniformly drawn chord class of the vocabulary.
-    """
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration must be a positive number of seconds, got {duration_s}")
-    vocab = vocab or chords.MAJMIN_25
-    n_real = 24 if vocab.name == "majmin" else 168
-    rng = np.random.default_rng(seed)
-    out = []
-    t = 0.0
-    while t < duration_s - 1e-9:
-        end = min(t + rng.uniform(1.0, 2.5), duration_s)
-        if rng.uniform() < 0.08:
-            label = chords.ChordLabel.no_chord()
-        else:
-            label = chords.parse_chord(chords.class_to_label(int(rng.integers(n_real)), vocab))
-        out.append((t, end, label))
-        t = end
-    return chords.Annotation(tuple(out))
+    return AudioClip(signal)

@@ -71,7 +71,7 @@ def model_gradcheck(variant: str, seed: int = 0) -> float:
     on six frames of random features and targets, the first one SKIP, and
     returns the worst relative error over every parameter element.
     """
-    from .model import ModelConfig, forward, init_model, params_from_dict
+    from .model import ModelConfig, ModelParams, forward, init_model
     from .numerics import mul
     from .training import SKIP, cross_entropy
 
@@ -83,11 +83,10 @@ def model_gradcheck(variant: str, seed: int = 0) -> float:
     x = Tensor(rng.standard_normal((n_frames, cfg.n_bins)))
     targets = rng.integers(0, cfg.n_classes, size=n_frames)
     targets[0] = SKIP  # exercise the skip path too
-    names = [name for name, _ in params.named_tensors()]
-    tensors = [t for _, t in params.named_tensors()]
+    names, tensors = list(params), list(params.values())
 
     def loss(ps):
-        p = params_from_dict(dict(zip(names, ps)))
+        p = ModelParams(zip(names, ps))
         nll = cross_entropy(forward(p, cfg, x), targets)
         # The 1e-3 scale conditions the check, it does not weaken it: central
         # differences carry a noise floor of one ulp of the loss over 2h,

@@ -28,11 +28,16 @@ combinator (a,b) o (a',b') = (a*a', a'*b + b'), is kept as the reference
 the acceptance gate checks the sequential scan against. They agree to
 within roundoff and both back-propagate through a hand-derived adjoint
 (itself a reverse-time linear recurrence, run by the same evaluator).
+
+``mamba_block`` reads its parameters by name from a mapping. This module
+states no parameter layout: ``model.tensor_shapes`` gives every block
+tensor's name, shape and order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,65 +204,40 @@ def selective_scan_assoc(inputs: ScanInputs, A: Tensor, D: Tensor) -> Tensor:
     return _scan(inputs, A, D, impl="assoc")
 
 
-@dataclass
-class MambaBlockParams:
-    """Parameters of one gated selective-state-space block.
-
-    ``model.tensor_shapes`` gives each field's shape and is checked where
-    parameters enter: ``init_model`` draws to it, ``load_checkpoint`` checks
-    every stored tensor and training slices its vector by it. As in the
-    Mamba block, the input and output projections carry no bias.
-    ``named_tensors`` yields the fields in declaration order, which is the
-    tensor order of a checkpoint.
-    """
-
-    in_proj: Tensor
-    conv_w: Tensor
-    conv_b: Tensor
-    x_proj: Tensor
-    dt_proj: Tensor
-    dt_bias: Tensor
-    A_log: Tensor
-    D: Tensor
-    out_proj: Tensor
-    norm_gain: Tensor
-
-    def named_tensors(self, prefix: str = ""):
-        for f in fields(self):
-            yield prefix + f.name, getattr(self, f.name)
-
-
-def mamba_block(x: Tensor, params: MambaBlockParams, scan_impl: str = "seq") -> Tensor:
+def mamba_block(x: Tensor, params: Mapping[str, Tensor], scan_impl: str = "seq") -> Tensor:
     """One gated selective-scan block, (L, d_model) in and out, forward in time.
 
     Pipeline: RMSNorm -> input projection split into a state branch and a
     gate -> causal depthwise conv -> SiLU -> data-dependent (delta, B, C)
     -> selective scan -> SiLU-gated product -> output projection.
-    scan_impl picks the scan evaluator: "seq" runs, "assoc" is the
-    reference it is checked against.
+    ``params`` maps one block's tensor names, such as ``in_proj`` and
+    ``A_log``, to tensors of the shapes ``model.tensor_shapes`` gives them
+    (``ModelParams.block`` yields this mapping). As in the Mamba block, the
+    input and output projections carry no bias. scan_impl picks the scan
+    evaluator: "seq" runs, "assoc" is the reference it is checked against.
     """
-    d = params.in_proj.shape[0]
-    e, n = params.A_log.shape
-    r = params.dt_proj.shape[0]
+    d = params["in_proj"].shape[0]
+    e, n = params["A_log"].shape
+    r = params["dt_proj"].shape[0]
     if x.data.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"block input must be (L,{d}), got {x.shape}")
 
     # Each large intermediate is dropped after its last use, so an untaped
     # pass holds few (L, d_inner) arrays at once; a tape keeps what it needs.
-    proj = matmul(rmsnorm(x, params.norm_gain, eps=RMSNORM_EPS), params.in_proj)
+    proj = matmul(rmsnorm(x, params["norm_gain"], eps=RMSNORM_EPS), params["in_proj"])
     branch = slice_cols(proj, 0, e)
     gate = slice_cols(proj, e, 2 * e)
     del proj
-    u = silu(conv1d_depthwise(branch, params.conv_w, params.conv_b))
+    u = silu(conv1d_depthwise(branch, params["conv_w"], params["conv_b"]))
     del branch
-    dbc = matmul(u, params.x_proj)
+    dbc = matmul(u, params["x_proj"])
     dt_low = slice_cols(dbc, 0, r)
     B = slice_cols(dbc, r, r + n)
     C = slice_cols(dbc, r + n, r + 2 * n)
     del dbc
-    delta = softplus(add_bias(matmul(dt_low, params.dt_proj), params.dt_bias))
+    delta = softplus(add_bias(matmul(dt_low, params["dt_proj"]), params["dt_bias"]))
 
-    A = mul(exp(params.A_log), -1.0)
-    y = _scan(ScanInputs(u=u, delta=delta, B=B, C=C), A, params.D, impl=scan_impl)
+    A = mul(exp(params["A_log"]), -1.0)
+    y = _scan(ScanInputs(u=u, delta=delta, B=B, C=C), A, params["D"], impl=scan_impl)
     del u, delta, B, C
-    return matmul(mul(y, silu(gate)), params.out_proj)
+    return matmul(mul(y, silu(gate)), params["out_proj"])

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tensorio
 from .features import N_BINS
-from .mamba import MambaBlockParams, mamba_block
+from .mamba import mamba_block
 from .numerics import (
     STANDARD,
     ShapeError,
@@ -97,51 +97,40 @@ class ModelConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
-@dataclass
-class ModelParams:
-    fc_in: Tensor
-    fc_bias: Tensor
-    block_a: MambaBlockParams
-    block_b: MambaBlockParams
-    head: Tensor
-    head_bias: Tensor
+class ModelParams(dict):
+    """Parameter name -> Tensor, in ``tensor_shapes`` order.
+
+    The order is the tensor order of a checkpoint and of training's
+    parameter vector; ``init_model``, ``load_checkpoint`` and training
+    build their params in it. The two blocks' tensors are named
+    ``block_a.<name>`` and ``block_b.<name>``.
+    """
 
     def named_tensors(self):
-        yield "fc_in", self.fc_in
-        yield "fc_bias", self.fc_bias
-        yield from self.block_a.named_tensors("block_a.")
-        yield from self.block_b.named_tensors("block_b.")
-        yield "head", self.head
-        yield "head_bias", self.head_bias
+        """(name, Tensor) pairs in order."""
+        return self.items()
 
-    def map_arrays(self, fn) -> "ModelParams":
-        """Rebuild with fn(name, ndarray) applied to every tensor."""
-        new = {name: Tensor(fn(name, t.data), dtype=None) for name, t in self.named_tensors()}
-        return params_from_dict(new)
+    def block(self, prefix: str) -> dict[str, Tensor]:
+        """One block's tensors under their short names, as ``mamba_block`` reads them."""
+        return {name[len(prefix):]: t for name, t in self.items() if name.startswith(prefix)}
 
     def swap_blocks(self) -> "ModelParams":
-        """Exchange the two blocks and the matching halves of the head rows."""
-        d_head = self.head.shape[0]
-        half = d_head // 2
-        if 2 * half != d_head:
+        """Exchange the two blocks and the matching halves of the head rows; order is kept."""
+        head = self["head"]
+        half = head.shape[0] // 2
+        if 2 * half != head.shape[0]:
             raise ShapeError("swap_blocks needs a concatenated (two-block) head")
-        swapped_head = np.concatenate([self.head.data[half:], self.head.data[:half]], axis=0)
-        return ModelParams(fc_in=self.fc_in, fc_bias=self.fc_bias,
-                           block_a=self.block_b, block_b=self.block_a,
-                           head=Tensor(swapped_head, dtype=self.head.dtype),
-                           head_bias=self.head_bias)
+        out = ModelParams(self)
+        for src, dst in (("block_a.", "block_b."), ("block_b.", "block_a.")):
+            out.update((dst + name, t) for name, t in self.block(src).items())
+        out["head"] = Tensor(np.concatenate([head.data[half:], head.data[:half]], axis=0),
+                             dtype=head.dtype)
+        return out
 
 
-def params_from_dict(tensors: dict[str, Tensor]) -> ModelParams:
-    def block(prefix: str) -> MambaBlockParams:
-        return MambaBlockParams(**{f.name: tensors[prefix + f.name]
-                                   for f in fields(MambaBlockParams)})
-
-    return ModelParams(
-        fc_in=tensors["fc_in"], fc_bias=tensors["fc_bias"],
-        block_a=block("block_a."), block_b=block("block_b."),
-        head=tensors["head"], head_bias=tensors["head_bias"],
-    )
+# params_from_dict(tensors) is ModelParams(tensors): give it the tensors in
+# tensor_shapes order.
+params_from_dict = ModelParams
 
 
 # --------------------------------------------------------------------------
@@ -175,9 +164,9 @@ def init_model(cfg: ModelConfig, dtype=STANDARD) -> ModelParams:
               "x_proj": cfg.d_inner, "dt_proj": cfg.dt_rank, "out_proj": cfg.d_inner,
               "head": cfg.head_in, "head_bias": cfg.head_in}
     rng = np.random.default_rng(cfg.seed)
-    return params_from_dict({
-        name: Tensor(_draw(rng, name.rpartition(".")[2], shape, fan_in), dtype=dtype)
-        for name, shape in tensor_shapes(cfg).items()})
+    return ModelParams(
+        (name, Tensor(_draw(rng, name.rpartition(".")[2], shape, fan_in), dtype=dtype))
+        for name, shape in tensor_shapes(cfg).items())
 
 
 # --------------------------------------------------------------------------
@@ -193,20 +182,21 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
     """
     if x.data.ndim != 2 or x.shape[1] != cfg.n_bins:
         raise ShapeError(f"input must be (L, {cfg.n_bins}), got {x.shape}")
-    h0 = add_bias(matmul(x, params.fc_in), params.fc_bias)
+    h0 = add_bias(matmul(x, params["fc_in"]), params["fc_bias"])
+    block_a, block_b = params.block("block_a."), params.block("block_b.")
 
     def run(block, src):
         return add(src, mamba_block(src, block, scan_impl=scan_impl))
 
     if cfg.variant == MACE_V:
-        feats = run(params.block_b, run(params.block_a, h0))
+        feats = run(block_b, run(block_a, h0))
     elif cfg.variant == MACE_H:
-        feats = concat_features(run(params.block_a, h0), run(params.block_b, h0))
+        feats = concat_features(run(block_a, h0), run(block_b, h0))
     else:  # bmace: the second block reads time reversed
-        first = run(params.block_a, h0)
-        back = mamba_block(reverse_time(h0), params.block_b, scan_impl=scan_impl)
+        first = run(block_a, h0)
+        back = mamba_block(reverse_time(h0), block_b, scan_impl=scan_impl)
         feats = concat_features(first, add(h0, reverse_time(back)))
-    return add_bias(matmul(feats, params.head), params.head_bias)
+    return add_bias(matmul(feats, params["head"]), params["head_bias"])
 
 
 def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
@@ -221,10 +211,12 @@ def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
 def tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter tensor the config implies, in checkpoint order.
 
-    This is the one statement of the parameter layout: ``init_model`` draws
-    to it, ``count_params`` sums it, ``load_checkpoint`` checks against it
-    and training slices its parameter vector by it. Each block's tensors
-    follow MambaBlockParams field order.
+    This is the one statement of the parameter layout, names and order
+    included: ``init_model`` draws to it, ``count_params`` sums it,
+    ``load_checkpoint`` checks against it, training slices its parameter
+    vector by it, and ``ModelParams`` keeps its order. A block tensor is
+    named ``<block>.<name>``; ``ModelParams.block`` strips the prefix for
+    ``mamba_block``.
     """
     d, e, n, r, k = cfg.d_model, cfg.d_inner, cfg.n_state, cfg.dt_rank, cfg.conv_k
     block = {"in_proj": (d, 2 * e), "conv_w": (e, k), "conv_b": (e,),
@@ -289,7 +281,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams,
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
-    """Read a checkpoint; params come back in STANDARD precision.
+    """Read a checkpoint; params come back in STANDARD precision and ``tensor_shapes`` order.
 
     Every tensor the stored config implies must be present, with that shape
     and finite values, and no other tensor may be.
@@ -309,5 +301,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, dict]:
                 f"checkpoint tensor {name!r} has shape {arr.shape}, config implies {shape}")
         if not np.all(np.isfinite(arr)):
             raise tensorio.BlobFormatError(f"checkpoint tensor {name!r} holds non-finite values")
-    params = params_from_dict({name: Tensor(arr, dtype=STANDARD) for name, arr in arrays.items()})
+    params = ModelParams((name, Tensor(arrays[name], dtype=STANDARD)) for name in expected)
     return cfg, params, meta

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -95,6 +96,11 @@ def write_tensors(path, meta: dict, named_arrays) -> tuple[Path, Path]:
     return mpath, bpath
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 0: not a float, and not a bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back; returns (meta, name -> float32 array)."""
     mpath, bpath = manifest_path(path), blob_path(path)
@@ -120,13 +126,17 @@ def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for rec in records:
         try:
-            name, dtype, start = rec["name"], rec["dtype"], int(rec["offset"])
-            shape = tuple(int(s) for s in rec["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, dtype, start, shape = rec["name"], rec["dtype"], rec["offset"], rec["shape"]
+        except (KeyError, TypeError) as exc:
             raise BlobFormatError(f"{mpath}: malformed tensor record {rec!r}") from exc
+        if not (isinstance(name, str) and _is_count(start) and isinstance(shape, list)
+                and all(_is_count(s) for s in shape)):
+            raise BlobFormatError(f"{mpath}: malformed tensor record {rec!r}")
+        if name in tensors:
+            raise BlobFormatError(f"{mpath}: duplicate tensor name in record {rec!r}")
         if dtype != _DTYPE_TAG:
             raise BlobFormatError(f"{mpath}: unsupported tensor dtype {dtype!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         end = start + count * 4
         if end > len(blob):
             raise BlobFormatError(f"{bpath}: tensor {name!r} overruns the blob")

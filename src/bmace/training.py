@@ -150,9 +150,33 @@ def split_dataset(items, seed):
     return train, val, test
 
 
+def make_random_progression(seed, duration_s=10.0, vocab=None):
+    """Seeded random chord progression covering [0, duration_s].
+
+    Chords last uniform(1, 2.5) seconds; each is no-chord with probability
+    0.08, else a uniformly drawn chord class of the vocabulary.
+    """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be a positive number of seconds, got {duration_s}")
+    vocab = vocab or chords.MAJMIN_25
+    n_real = 24 if vocab.name == "majmin" else 168
+    rng = np.random.default_rng(seed)
+    out = []
+    t = 0.0
+    while t < duration_s - 1e-9:
+        end = min(t + rng.uniform(1.0, 2.5), duration_s)
+        if rng.uniform() < 0.08:
+            label = chords.ChordLabel.no_chord()
+        else:
+            label = chords.parse_chord(chords.class_to_label(int(rng.integers(n_real)), vocab))
+        out.append((t, end, label))
+        t = end
+    return chords.Annotation(tuple(out))
+
+
 def synth_clip_example(seed, vocab, duration_s=10.0):
     """One synthetic clip: progression, audio, log-amplitude features."""
-    progression = ft.make_random_progression(seed, duration_s, vocab)
+    progression = make_random_progression(seed, duration_s, vocab)
     clip = ft.synth_chord_clip(progression, seed=seed + 1_000_003)
     feats = ft.log_amplitude(ft.cqt(clip))
     return ClipExample(f"clip{seed:06d}", feats, progression)
@@ -191,6 +215,8 @@ def build_dataset(examples, vocab, stats, split):
 
 # Training holds the parameters as one float32 vector, the md.tensor_shapes
 # tensors end to end; gradients, Adam moments and the best snapshot share it.
+# A ModelParams iterates in that order, so its tensors and their gradients
+# concatenate straight into the vector's layout.
 
 def _params_from_flat(flat, model_cfg):
     """ModelParams copied from consecutive slices of the parameter vector.
@@ -199,21 +225,21 @@ def _params_from_flat(flat, model_cfg):
     that holds a non-finite value.
     """
     finite = bool(np.all(np.isfinite(flat)))
-    tensors = {}
+    params = md.ModelParams()
     end = 0
     for name, shape in md.tensor_shapes(model_cfg).items():
         start, end = end, end + math.prod(shape)
         piece = flat[start:end]
         if not finite and not np.all(np.isfinite(piece)):
             raise TrainingDivergedError(f"parameter {name} became non-finite")
-        tensors[name] = Tensor(piece.reshape(shape), dtype=STANDARD)
-    return md.params_from_dict(tensors)
+        params[name] = Tensor(piece.reshape(shape), dtype=STANDARD)
+    return params
 
 
 def _init_training(model_cfg):
     """Initial (parameter vector, fresh Adam state)."""
     params0 = md.init_model(model_cfg, dtype=STANDARD)
-    flat = np.concatenate([tensor.data.ravel() for _, tensor in params0.named_tensors()])
+    flat = np.concatenate([tensor.data.ravel() for tensor in params0.values()])
     return flat, adam_init(flat)
 
 
@@ -227,7 +253,7 @@ def _loss_and_grads(params, model_cfg, feats, targets):
         x = Tensor(feats, dtype=STANDARD)
         logits = md.forward(params, model_cfg, x)
         loss = cross_entropy(logits, targets)
-    grads = tape.gradients(loss, [tensor for _, tensor in params.named_tensors()])
+    grads = tape.gradients(loss, list(params.values()))
     return float(loss.data), np.concatenate([g.data.ravel() for g in grads])
 
 

@@ -12,6 +12,8 @@ from bmace import cli
 from bmace import features as ft
 from bmace import metrics as mt
 from bmace import model as md
+from bmace import training as tr
+from bmace.numerics import Tensor
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +39,7 @@ def write_lab(path, annotation):
 def make_audio_corpus(directory, n_songs, seed=0, duration_s=2.0):
     directory.mkdir(parents=True, exist_ok=True)
     for i in range(n_songs):
-        progression = ft.make_random_progression(seed + i, duration_s,
+        progression = tr.make_random_progression(seed + i, duration_s,
                                                  chords.MAJMIN_25)
         clip = ft.synth_chord_clip(progression, seed=seed + 100 + i)
         ft.write_wav(directory / f"song{i}.wav", clip)
@@ -280,9 +282,9 @@ class TestEvaluateCommand:
         rng = np.random.default_rng(0)
         expected = {}
         for stem in ("one", "two"):
-            ref_ann = ft.make_random_progression(int(rng.integers(1000)), 4.0,
+            ref_ann = tr.make_random_progression(int(rng.integers(1000)), 4.0,
                                                  chords.LARGE_170)
-            est_ann = ft.make_random_progression(int(rng.integers(1000)), 4.0,
+            est_ann = tr.make_random_progression(int(rng.integers(1000)), 4.0,
                                                  chords.LARGE_170)
             write_lab(ref / f"{stem}.lab", ref_ann)
             write_lab(est / f"{stem}.lab", est_ann)
@@ -349,13 +351,10 @@ class TestEvaluateCommand:
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 1)
         cfg = md.ModelConfig(variant=md.MACE_V, n_classes=25)
-        def poison(name, arr):
-            arr = arr.copy()
-            if name == "fc_in":
-                arr[3, 5] = np.nan
-            return arr
-
-        params = md.init_model(cfg).map_arrays(poison)
+        params = md.init_model(cfg)
+        fc_in = params["fc_in"].data.copy()
+        fc_in[3, 5] = np.nan
+        params["fc_in"] = Tensor(fc_in)
         ckpt = tmp_path / "model"
         md.save_checkpoint(ckpt, cfg, params, extra_meta={
             "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
@@ -369,8 +368,8 @@ class TestEvaluateCommand:
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 1)
         cfg = md.ModelConfig(variant=md.BMACE, n_classes=25)
-        params = md.init_model(cfg).map_arrays(
-            lambda name, arr: arr.T.copy() if name == "fc_in" else arr)
+        params = md.init_model(cfg)
+        params["fc_in"] = Tensor(params["fc_in"].data.T)
         ckpt = tmp_path / "model"
         md.save_checkpoint(ckpt, cfg, params, extra_meta={
             "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": "majmin"})
@@ -437,8 +436,10 @@ class TestEvaluateCommand:
          "config must be a mapping, got list"),
         (lambda manifest: manifest["tensors"][0].update(shape=5) or manifest,
          "malformed tensor record"),
+        (lambda manifest: manifest["tensors"][0].update(name=["fc_in"]) or manifest,
+         "malformed tensor record"),
     ], ids=["manifest-not-object", "config-field-type", "meta-not-object",
-            "config-not-object", "shape-not-a-list"])
+            "config-not-object", "shape-not-a-list", "name-not-a-string"])
     def test_malformed_checkpoint_json_is_a_usage_error(self, capsys, tmp_path, edit, cause):
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 1)

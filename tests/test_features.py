@@ -22,7 +22,6 @@ from bmace.features import (
     compute_norm_stats,
     cqt,
     log_amplitude,
-    make_random_progression,
     n_frames,
     read_wav,
     synth_chord_clip,
@@ -30,13 +29,14 @@ from bmace.features import (
     write_wav,
     znormalize,
 )
+from bmace.training import make_random_progression
 
 SR = ft.SAMPLE_RATE
 
 
 def tone(freq, seconds=10.0, amp=0.5):
     t = np.arange(int(seconds * SR)) / SR
-    return AudioClip(amp * np.sin(2 * np.pi * freq * t), SR)
+    return AudioClip(amp * np.sin(2 * np.pi * freq * t))
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,8 +201,6 @@ class TestWavIO:
             AudioClip(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             AudioClip(np.array([np.nan]))
-        with pytest.raises(ValueError):
-            AudioClip(np.zeros(4), sample_rate=0)
 
 
 class TestCqt:

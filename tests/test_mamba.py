@@ -44,7 +44,7 @@ def random_block_params(rng, d_model, d_inner, n, r, k, scale=0.4):
     def u(shape):
         return t64(rng.uniform(-scale, scale, size=shape))
 
-    return mb.MambaBlockParams(
+    return dict(
         in_proj=u((d_model, 2 * d_inner)),
         conv_w=u((d_inner, k)),
         conv_b=u((d_inner,)),
@@ -276,7 +276,7 @@ class TestMambaBlock:
     def test_zero_parameters_give_zero_output(self):
         # With in_proj = 0 the gate is silu(0) = 0 and annihilates everything.
         z = self.TINY
-        p = mb.MambaBlockParams(
+        p = dict(
             in_proj=t64(np.zeros((z["d_model"], 2 * z["d_inner"]))),
             conv_w=t64(np.zeros((z["d_inner"], z["k"]))),
             conv_b=t64(np.zeros(z["d_inner"])),
@@ -306,12 +306,10 @@ class TestMambaBlock:
             p = random_block_params(rng, d_model=4, d_inner=8, n=2, r=2, k=2)
             x = t64(rng.standard_normal((L, 4)))
             probe = t64(rng.standard_normal((L, 4)))
-            names = [n for n, _ in p.named_tensors()]
-            tensors = [t for _, t in p.named_tensors()]
+            names, tensors = list(p), list(p.values())
 
             def loss(ps):
-                fields = dict(zip(names, ps[:-1]))
-                y = mb.mamba_block(ps[-1], mb.MambaBlockParams(**fields))
+                y = mb.mamba_block(ps[-1], dict(zip(names, ps[:-1])))
                 return nm.sum_all(nm.mul(y, probe))
 
             err = check_gradients(loss, tensors + [x])
@@ -321,7 +319,7 @@ class TestMambaBlock:
         rng = np.random.default_rng(16)
         p = random_block_params(rng, **self.TINY)
         x = t64(rng.standard_normal((7, 4)))
-        tensors = [t for _, t in p.named_tensors()]
+        tensors = list(p.values())
         grads = nm.grad(lambda: nm.sum_all(mb.mamba_block(x, p)), tensors)
-        for (name, _), g in zip(p.named_tensors(), grads):
+        for name, g in zip(p, grads):
             assert np.any(g.data != 0.0), f"no gradient reached {name}"

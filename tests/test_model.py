@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -119,22 +120,22 @@ class TestInit:
         cfg = cfg_for(md.BMACE, **TINY)
         a = md.init_model(cfg)
         b = md.init_model(md.ModelConfig(**{**cfg.to_dict(), "seed": 1}))
-        assert not np.array_equal(a.fc_in.data, b.fc_in.data)
+        assert not np.array_equal(a["fc_in"].data, b["fc_in"].data)
 
     def test_fc_in_range(self):
         # fan_in = 144 bins, so every entry lies in (-1/12, 1/12).
         params = md.init_model(cfg_for(md.BMACE))
-        assert np.all(np.abs(params.fc_in.data) < 1.0 / 12.0)
+        assert np.all(np.abs(params["fc_in"].data) < 1.0 / 12.0)
 
     def test_a_log_ladder(self):
         params = md.init_model(cfg_for(md.BMACE, **TINY), dtype=nm.HIGH)
         want = np.log(np.tile([1.0, 2.0], (4, 1)))
-        assert np.allclose(params.block_a.A_log.data, want, atol=0)
+        assert np.allclose(params["block_a.A_log"].data, want, atol=0)
 
     def test_dt_bias_softplus_range(self):
         params = md.init_model(cfg_for(md.BMACE), dtype=nm.HIGH)
-        for block in (params.block_a, params.block_b):
-            dt = np.log1p(np.exp(block.dt_bias.data))
+        for name in ("block_a.dt_bias", "block_b.dt_bias"):
+            dt = np.log1p(np.exp(params[name].data))
             assert np.all(dt >= 1e-3 - 1e-12) and np.all(dt <= 1e-1 + 1e-12)
 
     @pytest.mark.parametrize("cfg, dtype, digest", [
@@ -152,8 +153,8 @@ class TestInit:
 
     def test_d_and_gain_start_at_one(self):
         params = md.init_model(cfg_for(md.BMACE, **TINY))
-        assert np.all(params.block_a.D.data == 1.0)
-        assert np.all(params.block_b.norm_gain.data == 1.0)
+        assert np.all(params["block_a.D"].data == 1.0)
+        assert np.all(params["block_b.norm_gain"].data == 1.0)
 
 
 class TestForward:
@@ -186,6 +187,14 @@ class TestForward:
         rhs = nm.reverse_time(md.forward(params, cfg, self.x)).data
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
+    def test_swap_blocks_twice_restores_names_order_and_bytes(self):
+        params = self._params(cfg_for(md.BMACE, n_classes=25, **TINY))
+        assert list(params.swap_blocks()) == list(params)
+        twice = params.swap_blocks().swap_blocks()
+        assert list(twice) == list(params)
+        for name, t in params.items():
+            assert twice[name].data.tobytes() == t.data.tobytes(), name
+
     def test_scan_impls_agree(self):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
         params = self._params(cfg)
@@ -197,7 +206,7 @@ class TestForward:
     def test_predict_shape_and_tie_break(self):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
         params = self._params(cfg)
-        zeroed = params.map_arrays(lambda name, a: np.zeros_like(a))
+        zeroed = md.ModelParams((name, nm.Tensor(np.zeros_like(t.data))) for name, t in params.items())
         preds = md.predict(zeroed, cfg, self.x)
         # All logits identical: ties resolve to the smallest class id.
         assert preds.shape == (10,)
@@ -264,6 +273,43 @@ class TestCheckpoint:
         assert meta["note"] == "test"
         for (name, t1), (_, t2) in zip(params.named_tensors(), params2.named_tensors()):
             assert np.array_equal(t1.data, t2.data), name
+
+    def test_shuffled_manifest_loads_in_shape_table_order(self, tmp_path):
+        # Training concatenates tensors in ModelParams order, so a loaded
+        # checkpoint must follow tensor_shapes, not its manifest's order.
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        blob = tensorio.blob_path(base).read_bytes()
+        manifest_file = tensorio.manifest_path(base)
+        manifest = json.loads(manifest_file.read_text())
+        random.Random(3).shuffle(manifest["tensors"])
+        assert [rec["name"] for rec in manifest["tensors"]] != list(md.tensor_shapes(cfg))
+        manifest_file.write_text(json.dumps(manifest))
+        cfg2, params, _ = md.load_checkpoint(base)
+        assert [(name, t.shape) for name, t in params.named_tensors()] == list(
+            md.tensor_shapes(cfg).items())
+        md.save_checkpoint(tmp_path / "again", cfg2, params)
+        assert tensorio.blob_path(tmp_path / "again").read_bytes() == blob
+
+    @pytest.mark.parametrize("index, field, value", [
+        (0, "name", ["fc_in"]), (0, "name", 7), (1, "name", "fc_in"),
+        (1, "shape", [-1]), (1, "shape", [-3]), (1, "shape", [2.7]), (0, "shape", [True, 2]),
+        (1, "offset", -8), (1, "offset", True), (1, "offset", 8.0),
+    ], ids=["name-list", "name-int", "name-repeated", "dim-minus-1", "dim-minus-3",
+            "dim-float", "dim-bool", "offset-negative", "offset-bool", "offset-float"])
+    def test_tensor_record_fields_are_checked(self, tmp_path, index, field, value):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        manifest_file = tensorio.manifest_path(base)
+        manifest = json.loads(manifest_file.read_text())
+        record = manifest["tensors"][index]
+        record[field] = value
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(tensorio.BlobFormatError) as exc:
+            tensorio.read_tensors(base)
+        assert repr(record) in str(exc.value)
 
     def test_blob_length_validated(self, tmp_path):
         cfg = cfg_for(md.BMACE, n_classes=25, **TINY)

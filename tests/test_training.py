@@ -513,8 +513,8 @@ class TestPrediction:
         cfg = tiny_config()
         bias = np.zeros(25)
         bias[0] = -1e3
-        params = md.init_model(cfg, dtype=STANDARD).map_arrays(
-            lambda name, a: a + bias.astype(a.dtype) if name == "head_bias" else a)
+        params = md.init_model(cfg, dtype=STANDARD)
+        params["head_bias"] = Tensor(params["head_bias"].data + bias.astype(np.float32))
         classes = tr.predict_classes(params, cfg, ft.NormStats(0.0, 1.0), feats)
         assert classes.shape == (250,)
         assert not np.any(classes == 0)
