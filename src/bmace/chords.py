@@ -9,7 +9,9 @@ that could not be read.
 
 Two class vocabularies are supported: a 25-class one (12 roots as major
 or minor, plus no-chord) and a 170-class one (12 roots across 14
-qualities, plus no-chord, plus unknown). Labels a vocabulary cannot
+qualities, plus no-chord, plus unknown). A ``Vocab`` states its layout:
+chord class ``root * len(qualities) + quality index``, then no-chord,
+then unknown where the vocabulary has it. Labels a vocabulary cannot
 express map to SKIP, which downstream code excludes from losses and
 score denominators.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .features import HOP, SAMPLE_RATE
@@ -57,8 +60,6 @@ TEMPLATES = {
     "hdim7": frozenset({0, 3, 6, 10}),
 }
 
-_QUALITY_INDEX = {name: i for i, name in enumerate(QUALITIES)}
-
 # Extended shorthands parse to their full pitch-class sets; they reduce
 # to a canonical quality only when mapped into a vocabulary.
 _EXTENDED = {
@@ -90,19 +91,6 @@ class ParseError(ValueError):
             message = f"{message} (column {column})"
         super().__init__(message)
         self.column = column
-
-
-@dataclass(frozen=True)
-class Vocab:
-    """A fixed class inventory, identified by name."""
-
-    name: str
-    n_classes: int
-
-
-MAJMIN_25 = Vocab("majmin", 25)
-LARGE_170 = Vocab("large", 170)
-VOCABS = {v.name: v for v in (MAJMIN_25, LARGE_170)}
 
 
 @dataclass(frozen=True)
@@ -358,50 +346,64 @@ def reduce_quality(intervals):
     return best
 
 
+def third_quality(intervals):
+    """Third rule: a major third makes a chord "maj", else a minor third
+    makes it "min"; a thirdless chord has no such quality (None)."""
+    if 4 in intervals:
+        return "maj"
+    if 3 in intervals:
+        return "min"
+    return None
+
+
+@dataclass(frozen=True)
+class Vocab:
+    """A class inventory: each root across ``qualities``, then no-chord,
+    then unknown if ``has_unknown``. ``quality_of`` reduces a label to one
+    of ``qualities``, or None (the unknown class, else SKIP)."""
+
+    name: str
+    qualities: tuple
+    has_unknown: bool
+    quality_of: Callable[[ChordLabel], str | None]
+
+    @functools.cached_property
+    def n_chords(self):
+        return 12 * len(self.qualities)
+
+    @functools.cached_property
+    def n_classes(self):
+        return self.n_chords + 1 + self.has_unknown
+
+
+MAJMIN_25 = Vocab("majmin", ("maj", "min"), False,
+                  lambda label: third_quality(label.intervals))
+LARGE_170 = Vocab("large", QUALITIES, True,
+                  lambda label: label.quality or reduce_quality(label.intervals))
+VOCABS = {v.name: v for v in (MAJMIN_25, LARGE_170)}
+
+
 def to_class(label, vocab):
     """Map a label to a class id in ``vocab``, or SKIP."""
-    if vocab.name == "large":
-        if label.is_no_chord:
-            return 168
-        if label.is_unknown:
-            return 169
-        quality = label.quality or reduce_quality(label.intervals)
-        if quality is None:
-            return 169
-        return label.root * 14 + _QUALITY_INDEX[quality]
-    if vocab.name == "majmin":
-        if label.is_no_chord:
-            return 24
-        if label.is_unknown:
-            return SKIP
-        # Third rule: any chord sounding a major third is major, else a
-        # minor third makes it minor; thirdless chords have no class.
-        if 4 in label.intervals:
-            return label.root * 2
-        if 3 in label.intervals:
-            return label.root * 2 + 1
-        return SKIP
-    raise ValueError(f"unknown vocabulary {vocab.name!r}")
+    if label.is_no_chord:
+        return vocab.n_chords
+    # Unknown labels sound no interval, so they reduce to no quality.
+    quality = vocab.quality_of(label)
+    if quality is None:
+        return vocab.n_chords + 1 if vocab.has_unknown else SKIP
+    return label.root * len(vocab.qualities) + vocab.qualities.index(quality)
 
 
 def class_to_label(class_id, vocab):
     """Canonical text for a class id (sharps for black keys)."""
-    if vocab.name == "majmin":
-        if class_id == 24:
-            return NO_CHORD
-        if not 0 <= class_id < 24:
-            raise ValueError(f"class {class_id} outside the 25-class vocabulary")
-        quality = "maj" if class_id % 2 == 0 else "min"
-        return f"{PITCH_NAMES[class_id // 2]}:{quality}"
-    if vocab.name == "large":
-        if class_id == 168:
-            return NO_CHORD
-        if class_id == 169:
-            return UNKNOWN
-        if not 0 <= class_id < 168:
-            raise ValueError(f"class {class_id} outside the 170-class vocabulary")
-        return f"{PITCH_NAMES[class_id // 14]}:{QUALITIES[class_id % 14]}"
-    raise ValueError(f"unknown vocabulary {vocab.name!r}")
+    if class_id == vocab.n_chords:
+        return NO_CHORD
+    if vocab.has_unknown and class_id == vocab.n_chords + 1:
+        return UNKNOWN
+    if not 0 <= class_id < vocab.n_chords:
+        raise ValueError(f"class {class_id} outside the {vocab.n_classes}-class vocabulary")
+    root, quality = divmod(class_id, len(vocab.qualities))
+    return f"{PITCH_NAMES[root]}:{vocab.qualities[quality]}"
 
 
 def frame_time(t):

@@ -113,6 +113,12 @@ def cmd_train(args):
     _ensure_parent(args.out)  # fail before the expensive work, not after
     vocab = chords.VOCABS[args.vocab]
     try:
+        model_cfg = md.ModelConfig(variant=args.variant,
+                                   n_classes=vocab.n_classes, seed=args.seed)
+        train_cfg = tr.TrainConfig(learning_rate=args.learning_rate,
+                                   batch_size=args.batch_size,
+                                   max_epochs=args.epochs,
+                                   patience=args.patience, seed=args.seed)
         if args.audio:
             corpus = [tr.ClipExample(stem, feats, ann)
                       for stem, feats, ann in _audio_lab_pairs(args.audio)]
@@ -120,12 +126,6 @@ def cmd_train(args):
             corpus = tr.make_synthetic_corpus(args.synthetic, vocab, args.seed,
                                               duration_s=args.duration)
         train_clips, val_clips, _ = tr.split_dataset(corpus, args.seed)
-        model_cfg = md.ModelConfig(variant=args.variant,
-                                   n_classes=vocab.n_classes, seed=args.seed)
-        train_cfg = tr.TrainConfig(learning_rate=args.learning_rate,
-                                   batch_size=args.batch_size,
-                                   max_epochs=args.epochs,
-                                   patience=args.patience, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     try:
@@ -218,6 +218,9 @@ def _estimate_pairs_from_model(ckpt_path, audio_dir):
     except (KeyError, TypeError):
         raise CliError(f"checkpoint {ckpt_path}: vocab {meta['vocab']!r} is not one of "
                        f"{sorted(chords.VOCABS)}") from None
+    if vocab.n_classes != cfg.n_classes:
+        raise CliError(f"checkpoint {ckpt_path}: vocab {vocab.name!r} has {vocab.n_classes} "
+                       f"classes but the model head has {cfg.n_classes}")
     return {stem: (ref, tr.predict_annotation(params, cfg, stats, feats, vocab))
             for stem, feats, ref in _audio_lab_pairs(audio_dir)}
 

@@ -66,21 +66,13 @@ _MIREX_COLUMN = _COLUMNS[MIREX]
 _PAST_END = (math.inf, math.inf, None)
 
 
-def _third_class(template):
-    if 4 in template:
-        return "maj"
-    if 3 in template:
-        return "min"
-    return "none"
-
-
 # Bounded by distinct labels (a few hundred in any corpus), not by songs.
 @functools.lru_cache(maxsize=1024)
 def _keys(label):
     """(reference keys, estimate keys) of one label, one per comparator.
 
-    The quality is the label's own or its raw interval set's largest
-    template. A reference key of None skips the segment; the last key of
+    The quality is the large vocabulary's: the label's own, or its raw
+    interval set's largest template. A reference key of None skips the segment; the last key of
     each side is the MIREX pitch-class mask.
     """
     majmin = chords.to_class(label, chords.MAJMIN_25)
@@ -88,13 +80,12 @@ def _keys(label):
         est = (_NO_CHORD_KEY,) * 5 + (majmin, _NO_CHORD_MASK)
         return est, est
     mask = sum(1 << pc for pc in label.pitch_classes())
-    quality = None if label.is_unknown else (
-        label.quality or chords.reduce_quality(label.intervals))
+    quality = chords.LARGE_170.quality_of(label)
     if quality is None:
         return (None,) * 7, (_UNREADABLE_KEY,) * 5 + (majmin, mask)
     root = label.root
     template = chords.TEMPLATES[quality]
-    est = (root, (root, _third_class(template)), (root, template & _TRIAD_CLASSES),
+    est = (root, (root, chords.third_quality(template)), (root, template & _TRIAD_CLASSES),
            (root, template & _SEVENTH_CLASSES), (root, template), majmin, mask)
     # As a reference, a chord outside the sevenths domain or without a
     # third is skipped by that comparator.
@@ -281,16 +272,14 @@ def frames_to_annotation(classes, vocab):
     """
     if len(classes) == 0:
         raise ValueError("empty class sequence")
-    labels = {chords.SKIP: chords.ChordLabel.unknown()}
     intervals = []
     run_start = 0
     for t in range(1, len(classes) + 1):
         if t < len(classes) and classes[t] == classes[run_start]:
             continue
         class_id = classes[run_start]
-        label = labels.get(class_id)
-        if label is None:
-            label = labels[class_id] = chords.parse_chord(chords.class_to_label(class_id, vocab))
+        label = (chords.ChordLabel.unknown() if class_id == chords.SKIP
+                 else chords.parse_chord(chords.class_to_label(class_id, vocab)))
         intervals.append((chords.frame_time(run_start), chords.frame_time(t), label))
         run_start = t
     return chords.Annotation(tuple(intervals))

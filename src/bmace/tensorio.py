@@ -124,6 +124,7 @@ def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     if hashlib.sha256(blob).hexdigest() != manifest.get("blob_sha256"):
         raise BlobFormatError(f"{bpath}: blob does not match the manifest's SHA-256")
     tensors: dict[str, np.ndarray] = {}
+    spans = []
     for rec in records:
         try:
             name, dtype, start, shape = rec["name"], rec["dtype"], rec["offset"], rec["shape"]
@@ -140,6 +141,13 @@ def read_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         end = start + count * 4
         if end > len(blob):
             raise BlobFormatError(f"{bpath}: tensor {name!r} overruns the blob")
+        if count:
+            spans.append((start, end, name))
         tensors[name] = np.frombuffer(blob, dtype=_F32, count=count,
                                       offset=start).reshape(shape).copy()
+    # Sorted by start, any overlap shows between neighbours.
+    spans.sort()
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise BlobFormatError(f"{mpath}: tensors {name!r} and {other!r} overlap in the blob")
     return meta, tensors

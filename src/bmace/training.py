@@ -53,6 +53,8 @@ class TrainConfig:
         for name in ("learning_rate", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,6 @@ def make_random_progression(seed, duration_s=10.0, vocab=None):
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration must be a positive number of seconds, got {duration_s}")
     vocab = vocab or chords.MAJMIN_25
-    n_real = 24 if vocab.name == "majmin" else 168
     rng = np.random.default_rng(seed)
     out = []
     t = 0.0
@@ -168,7 +169,7 @@ def make_random_progression(seed, duration_s=10.0, vocab=None):
         if rng.uniform() < 0.08:
             label = chords.ChordLabel.no_chord()
         else:
-            label = chords.parse_chord(chords.class_to_label(int(rng.integers(n_real)), vocab))
+            label = chords.parse_chord(chords.class_to_label(int(rng.integers(vocab.n_chords)), vocab))
         out.append((t, end, label))
         t = end
     return chords.Annotation(tuple(out))

@@ -286,6 +286,17 @@ class TestVocabularies:
         assert MAJMIN_25.n_classes == 25
         assert LARGE_170.n_classes == 170
 
+    def test_class_tables_list_every_class(self):
+        # Built independently: sharp roots, each across the qualities in
+        # class order, then no-chord, then unknown in the large vocabulary.
+        roots = "C C# D D# E F F# G G# A A# B".split()
+        large = ("maj min dim aug sus2 sus4 maj6 min6 7 maj7 min7 minmaj7 dim7 hdim7").split()
+        for vocab, qualities, tail in ((MAJMIN_25, ["maj", "min"], ["N"]),
+                                       (LARGE_170, large, ["N", "X"])):
+            expected = [f"{r}:{q}" for r in roots for q in qualities] + tail
+            assert vocab.n_classes == len(expected)
+            assert [class_to_label(k, vocab) for k in range(vocab.n_classes)] == expected
+
     def test_canonical_anchor_classes(self):
         c_maj = parse_chord("C:maj")
         assert to_class(c_maj, MAJMIN_25) == 0

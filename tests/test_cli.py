@@ -216,6 +216,20 @@ class TestTrainCommand:
         assert out == ""
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                       rate):
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("corpus built before the flags were checked")
+
+        monkeypatch.setattr(tr, "make_synthetic_corpus", no_corpus)
+        args = self.train_args(tmp_path / "m") + ["--learning-rate", rate]
+        code, out, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: learning_rate must be finite, got {rate}\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("duration", ["0", "-1", "nan"])
     def test_bad_duration_is_a_usage_error(self, capsys, tmp_path, duration):
         args = self.train_args(tmp_path / "m")
@@ -426,6 +440,25 @@ class TestEvaluateCommand:
         assert err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("n_classes, vocab", [(25, "large"), (170, "majmin")],
+                             ids=["majmin-head-large-vocab", "large-head-majmin-vocab"])
+    def test_vocab_disagreeing_with_head_is_a_usage_error(self, capsys, tmp_path,
+                                                          n_classes, vocab):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 1)
+        cfg = md.ModelConfig(variant=md.BMACE, n_classes=n_classes, d_model=4, n_state=2,
+                             dt_rank=2, conv_k=2, expand=1)
+        ckpt = tmp_path / "model"
+        md.save_checkpoint(ckpt, cfg, md.init_model(cfg), extra_meta={
+            "stats": ft.NormStats(0.0, 1.0).to_dict(), "vocab": vocab})
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        n_vocab = chords.VOCABS[vocab].n_classes
+        assert err == (f"error: checkpoint {ckpt}: vocab {vocab!r} has {n_vocab} classes "
+                       f"but the model head has {n_classes}\n")
+
     @pytest.mark.parametrize("edit, cause", [
         (lambda manifest: [], "manifest is a JSON list, not an object"),
         (lambda manifest: manifest["meta"]["config"].update(d_model="128") or manifest,
@@ -438,8 +471,11 @@ class TestEvaluateCommand:
          "malformed tensor record"),
         (lambda manifest: manifest["tensors"][0].update(name=["fc_in"]) or manifest,
          "malformed tensor record"),
+        (lambda manifest: manifest["tensors"][-1].update(offset=0) or manifest,
+         "overlap in the blob"),
     ], ids=["manifest-not-object", "config-field-type", "meta-not-object",
-            "config-not-object", "shape-not-a-list", "name-not-a-string"])
+            "config-not-object", "shape-not-a-list", "name-not-a-string",
+            "overlapping-records"])
     def test_malformed_checkpoint_json_is_a_usage_error(self, capsys, tmp_path, edit, cause):
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 1)

@@ -292,6 +292,20 @@ class TestCheckpoint:
         md.save_checkpoint(tmp_path / "again", cfg2, params)
         assert tensorio.blob_path(tmp_path / "again").read_bytes() == blob
 
+    def test_overlapping_records_rejected(self, tmp_path):
+        cfg = cfg_for(md.BMACE, n_classes=25, **TINY)
+        base = tmp_path / "ckpt"
+        md.save_checkpoint(base, cfg, md.init_model(cfg))
+        manifest_file = tensorio.manifest_path(base)
+        manifest = json.loads(manifest_file.read_text())
+        assert manifest["tensors"][0]["name"] == "fc_in"
+        next(rec for rec in manifest["tensors"] if rec["name"] == "fc_bias")["offset"] = 0
+        manifest_file.write_text(json.dumps(manifest))
+        with pytest.raises(tensorio.BlobFormatError) as exc:
+            tensorio.read_tensors(base)
+        assert "'fc_in'" in str(exc.value) and "'fc_bias'" in str(exc.value)
+        assert "overlap in the blob" in str(exc.value)
+
     @pytest.mark.parametrize("index, field, value", [
         (0, "name", ["fc_in"]), (0, "name", 7), (1, "name", "fc_in"),
         (1, "shape", [-1]), (1, "shape", [-3]), (1, "shape", [2.7]), (0, "shape", [True, 2]),

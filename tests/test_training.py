@@ -34,6 +34,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            tr.TrainConfig(learning_rate=rate)
+
     def test_rejects_nonpositive_patience(self):
         with pytest.raises(ValueError):
             tr.TrainConfig(patience=0)
