@@ -73,12 +73,21 @@ class AudioClip:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        self._keep(np.array(self.samples, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, arr):
+        # Internal: keep a fresh float64 array the caller owns, without copying.
+        clip = object.__new__(cls)
+        clip._keep(arr)
+        return clip
+
+    def _keep(self, arr):
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # NaN propagates through min and max, so no full-size temporary is needed.
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("samples must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -140,13 +149,13 @@ def read_wav(path):
     Stereo is averaged to mono. Rates other than 22,050 Hz are rejected;
     resampling is out of scope.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # chunk bodies are views, not copies
     if len(data) < 12:
         raise WavFormatError("file too short for a RIFF header", 0)
     if data[0:4] != b"RIFF":
-        raise WavFormatError(f"bad magic {data[0:4]!r}", 0)
+        raise WavFormatError(f"bad magic {bytes(data[0:4])!r}", 0)
     if data[8:12] != b"WAVE":
-        raise WavFormatError(f"bad form type {data[8:12]!r}", 8)
+        raise WavFormatError(f"bad form type {bytes(data[8:12])!r}", 8)
 
     fmt = None
     raw = None
@@ -179,8 +188,8 @@ def read_wav(path):
             raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
         frame_bytes = 2 * n_channels
         usable = len(body) - len(body) % frame_bytes
-        x = np.frombuffer(body, dtype="<i2", count=usable // 2).astype(np.float64)
-        np.divide(x, 32767.0, out=x)
+        pcm = np.frombuffer(body, dtype="<i2", count=usable // 2)
+        x = np.divide(pcm, 32767.0, out=np.empty(pcm.size))
     elif audio_format == 3:
         if bits != 32:
             raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
@@ -194,7 +203,7 @@ def read_wav(path):
         x = x.reshape(-1, n_channels).mean(axis=1)
     if rate != SAMPLE_RATE:
         raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
-    return AudioClip(np.clip(x, -1.0, 1.0, out=x))
+    return AudioClip._adopt(np.clip(x, -1.0, 1.0, out=x))
 
 
 def write_wav(path, clip):
@@ -285,13 +294,17 @@ def _cqt_plan(n_samples):
     return plan
 
 
+def available_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity mask
+        return os.cpu_count() or 1
+
+
 def _cqt_pool():
     """Executor for ``cqt``'s jobs: one worker per CPU this process may run on."""
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS and Windows have no affinity mask
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=available_cpus())
 
 
 def _cqt_block(rows, tails, pieces, tail, dest):

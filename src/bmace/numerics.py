@@ -88,14 +88,14 @@ class Tape:
     """Ordered record of executed operations, replayed in reverse for adjoints.
 
     A tape is confined to one logical execution: enter it, run the forward
-    computation, then ask for gradients. One tape records at a time, so
-    entering a tape while another is recording raises RuntimeError. Entries
-    hold strong references to the tensors involved, so their id()s stay
-    unique for the tape's lifetime.
+    computation, then ask for gradients, once. One tape records at a time,
+    so entering a tape while another is recording raises RuntimeError.
+    Entries hold strong references to the tensors involved, so their id()s
+    stay unique until the replay drops them.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
 
     def __enter__(self) -> "Tape":
         global _active
@@ -113,12 +113,27 @@ class Tape:
         return len(self._entries)
 
     def gradients(self, loss: Tensor, params: Sequence[Tensor]) -> list[Tensor]:
-        """d(loss)/d(param) for each param, by adjoint replay in reverse order."""
+        """d(loss)/d(param) for each param, by adjoint replay in reverse order.
+
+        The replay consumes the tape, so that the backward pass frees memory
+        as it goes. An entry's output has every contribution to its adjoint
+        once the replay reaches it, so that adjoint is dropped as soon as it
+        is used, unless the output is one of ``params``; the entry itself,
+        with the forward arrays its VJP holds, is dropped next. A second
+        call raises RuntimeError. ``len`` still counts the recorded entries.
+        """
         if loss.shape != ():
             raise ShapeError(f"loss must be a scalar tensor, got shape {loss.shape}")
+        entries = self._entries
+        if entries and entries[-1] is None:
+            raise RuntimeError("this tape has already been replayed")
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-        for out, parents, vjp in reversed(self._entries):
-            g = adjoints.get(id(out))
+        wanted = {id(p) for p in params}
+        for i in reversed(range(len(entries))):
+            out, parents, vjp = entries[i]
+            entries[i] = None
+            key = id(out)
+            g = adjoints.get(key) if key in wanted else adjoints.pop(key, None)
             if g is None:
                 continue
             for parent, pg in zip(parents, vjp(g)):

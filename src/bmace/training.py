@@ -3,10 +3,16 @@
 The loop is deliberately plain: cross-entropy per segment (one tape
 entry), batch gradients averaged in a fixed order, global-norm clipping,
 Adam with bias correction, and early stopping on validation loss.
-Everything is seeded, single-threaded over optimizer state, and
-bit-reproducible. A frame whose label the vocabulary cannot express
-carries the SKIP target; ``build_dataset`` is the one place that drops
-windows with no other frame.
+Everything is seeded and bit-reproducible. A frame whose label the
+vocabulary cannot express carries the SKIP target; ``build_dataset`` is
+the one place that drops windows with no other frame.
+
+Each batch's segment gradients are computed by the parent process and up
+to one forked worker per further available CPU (``_GradientPool``). The
+parent sums them from zeros in segment order and alone steps Adam, so
+the bytes depend only on flags, seeds, inputs and the BLAS thread count,
+never on the worker count. Workers inherit that thread count: with
+``OPENBLAS_NUM_THREADS=2`` and two workers, four BLAS threads run.
 
 Normalization statistics come from the training split only; validation
 and test features reuse them.
@@ -15,7 +21,10 @@ and test features reuse them.
 from __future__ import annotations
 
 import math
+import resource
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -254,25 +263,161 @@ def _loss_and_grads(params, model_cfg, feats, targets):
         x = Tensor(feats, dtype=STANDARD)
         logits = md.forward(params, model_cfg, x)
         loss = cross_entropy(logits, targets)
+    loss_value = float(loss.data)
+    if not math.isfinite(loss_value):
+        raise TrainingDivergedError("non-finite training loss")
     grads = tape.gradients(loss, list(params.values()))
-    return float(loss.data), np.concatenate([g.data.ravel() for g in grads])
+    return loss_value, np.concatenate([g.data.ravel() for g in grads])
 
 
-def _adam_batch_step(flat, state, model_cfg, train_cfg, segments):
-    """Adam step on the clipped mean gradient, summed from zeros in order.
+def _gradient_workers(batch_size):
+    """(forked gradient workers for batches of ``batch_size``, why that many).
+
+    The parent and its workers take one available CPU each, and no more
+    processes than a batch has segments. There are none where ``fork``
+    is missing, or while another thread is alive: forking a threaded
+    process is unsafe.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0, "no fork"
+    if threading.active_count() > 1:
+        return 0, "threads alive"
+    cpus = ft.available_cpus()
+    if cpus <= batch_size:
+        return cpus - 1, f"{cpus} CPUs"
+    return batch_size - 1, f"batch size {batch_size}"
+
+
+class _GradientPool:
+    """Each batch's segment gradients, on the parent and forked workers.
+
+    The workers are forked once and inherit ``segments``. Per batch, the
+    parent writes the parameter vector into one shared buffer and sends
+    each worker (slot, segment index) pairs over its pipe; the worker
+    writes each gradient into its shared slot and replies with the
+    losses, or with the first error it met. The parent computes the
+    batch's first segments meanwhile, so ``gradient`` sums every segment
+    from zeros in segment order whatever the worker count, and raises the
+    error of the earliest failing segment. With no workers the parent
+    computes every segment. A worker exits on EOF from its pipe.
+    """
+
+    def __init__(self, model_cfg, segments, workers, batch_size):
+        self.model_cfg = model_cfg
+        self.segments = segments
+        self._conns = []
+        self._procs = []
+        if not workers:
+            return
+        import mmap
+        import multiprocessing
+
+        size = sum(math.prod(shape) for shape in md.tensor_shapes(model_cfg).values())
+        n_slots = batch_size - batch_size // (workers + 1)
+        itemsize = np.dtype(STANDARD).itemsize
+        self._flat = np.frombuffer(mmap.mmap(-1, size * itemsize), dtype=STANDARD)
+        self._slots = np.frombuffer(mmap.mmap(-1, n_slots * size * itemsize),
+                                    dtype=STANDARD).reshape(n_slots, size)
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(workers):
+                here, there = ctx.Pipe()
+                self._conns.append(here)
+                proc = ctx.Process(target=self._serve, args=(there,), daemon=True)
+                proc.start()
+                there.close()
+                self._procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=1.0)  # an idle worker exits on EOF at once
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+
+    def _serve(self, conn):
+        """Worker loop: compute each job's segments until the pipe closes."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+        for other in self._conns:  # parent ends, this worker's own included
+            other.close()
+        try:
+            while True:
+                job = conn.recv()
+                losses, error = [], None
+                try:
+                    params = _params_from_flat(self._flat, self.model_cfg)
+                    for slot, index in job:
+                        loss_value, grad = _loss_and_grads(params, self.model_cfg,
+                                                           *self.segments[index])
+                        self._slots[slot] = grad
+                        losses.append(loss_value)
+                except Exception as exc:
+                    error = exc
+                conn.send((losses, error))
+        except (EOFError, OSError):
+            return
+
+    def _worker_died(self, k):
+        proc = self._procs[k]
+        proc.join(timeout=1.0)
+        return RuntimeError(f"gradient worker {proc.pid} died (exit code {proc.exitcode})")
+
+    def gradient(self, flat, batch):
+        """(sum of the gradients of segments ``batch`` from zeros in order, losses)."""
+        n = len(batch)
+        shares = min(len(self._conns) + 1, n)
+        bounds = [n * k // shares for k in range(shares + 1)]
+        own = bounds[1]  # the parent's share comes first and is never larger
+        params = _params_from_flat(flat, self.model_cfg)
+        if shares > 1:
+            self._flat[:] = flat
+        for k in range(shares - 1):
+            job = [(pos - own, batch[pos]) for pos in range(bounds[k + 1], bounds[k + 2])]
+            try:
+                self._conns[k].send(job)
+            except OSError:
+                raise self._worker_died(k) from None
+        acc = np.zeros_like(flat)
+        losses = []
+        for index in batch[:own]:
+            loss_value, grad = _loss_and_grads(params, self.model_cfg, *self.segments[index])
+            acc += grad
+            del grad
+            losses.append(loss_value)
+        for k in range(shares - 1):
+            try:
+                done, error = self._conns[k].recv()
+            except (EOFError, OSError):
+                raise self._worker_died(k) from None
+            start = bounds[k + 1] - own
+            for slot in range(start, start + len(done)):
+                acc += self._slots[slot]
+            losses += done
+            if error is not None:
+                raise error
+        return acc, losses
+
+
+def _adam_batch_step(flat, state, train_cfg, pool, batch):
+    """Adam step on the clipped mean gradient of segments ``batch`` of ``pool``.
 
     Returns (flat, state, per-segment losses, pre-clip gradient norm).
     """
-    params = _params_from_flat(flat, model_cfg)
-    acc = np.zeros_like(flat)
-    losses = []
-    for feats, targets in segments:
-        loss_value, grad = _loss_and_grads(params, model_cfg, feats, targets)
-        if not math.isfinite(loss_value):
-            raise TrainingDivergedError("non-finite training loss")
-        acc += grad
-        losses.append(loss_value)
-    clipped, norm = clip_gradients(acc / len(segments), CLIP_NORM)
+    acc, losses = pool.gradient(flat, batch)
+    clipped, norm = clip_gradients(acc / len(batch), CLIP_NORM)
     flat, state = adam_step(flat, clipped, state, train_cfg)
     return flat, state, losses, norm
 
@@ -298,10 +443,13 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     """Mini-batch Adam on masked cross-entropy with early stopping.
 
     Returns the parameters of the best validation epoch; the history
-    carries one record per epoch run. Each epoch also prints one progress
-    line on stderr: losses, validation accuracy, training segments per
-    second and the mean pre-clip gradient norm of its Adam steps. Wall
-    times go only there, so the history stays reproducible.
+    carries one record per epoch run. On stderr, a first line gives the
+    number of forked gradient workers and why (``_gradient_workers``),
+    each epoch prints one progress line (losses, validation accuracy,
+    training segments per second and the mean pre-clip gradient norm of
+    its Adam steps), and a last line gives the workers' peak RSS, which
+    the parent's own peak does not count. Wall times and memory go only
+    there, so the history stays reproducible.
     """
     if not train_clips or not val_clips:
         raise ValueError("train and validation splits must both be non-empty")
@@ -309,6 +457,8 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     train_segments = build_dataset(train_clips, vocab, stats, "training")
     val_segments = build_dataset(val_clips, vocab, stats, "validation")
 
+    workers, why = _gradient_workers(train_cfg.batch_size)
+    print(f"gradients on the parent and {workers} forked worker(s) ({why})", file=sys.stderr)
     flat, state = _init_training(model_cfg)
     rng = np.random.default_rng(train_cfg.seed)
 
@@ -318,42 +468,45 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     best_epoch = 0
     bad_epochs = 0
     history = []
-    for epoch in range(1, train_cfg.max_epochs + 1):
-        started = time.perf_counter()
-        perm = rng.permutation(len(train_segments))
-        loss_sum = 0.0
-        norms = []
-        for lo in range(0, len(perm), train_cfg.batch_size):
-            batch = [train_segments[i] for i in perm[lo:lo + train_cfg.batch_size]]
-            flat, state, losses, norm = _adam_batch_step(
-                flat, state, model_cfg, train_cfg, batch)
-            norms.append(norm)
-            loss_sum = sum(losses, loss_sum)
-        seconds = time.perf_counter() - started
+    with _GradientPool(model_cfg, train_segments, workers, train_cfg.batch_size) as pool:
+        for epoch in range(1, train_cfg.max_epochs + 1):
+            started = time.perf_counter()
+            perm = rng.permutation(len(train_segments)).tolist()
+            loss_sum = 0.0
+            norms = []
+            for lo in range(0, len(perm), train_cfg.batch_size):
+                flat, state, losses, norm = _adam_batch_step(
+                    flat, state, train_cfg, pool, perm[lo:lo + train_cfg.batch_size])
+                norms.append(norm)
+                loss_sum = sum(losses, loss_sum)
+            seconds = time.perf_counter() - started
 
-        val_loss, val_accuracy = _evaluate_split(flat, model_cfg, val_segments)
-        if not math.isfinite(val_loss):
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        history.append({
-            "epoch": epoch,
-            "train_loss": loss_sum / len(perm),
-            "val_loss": val_loss,
-            "val_accuracy": val_accuracy,
-        })
-        print(f"epoch {epoch}: train loss {history[-1]['train_loss']:.4f}, "
-              f"val loss {val_loss:.4f}, val accuracy {val_accuracy:.4f}, "
-              f"{len(perm) / seconds:.1f} segments/s, "
-              f"grad norm {sum(norms) / len(norms):.3g} (pre-clip mean)",
-              file=sys.stderr)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best = flat
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= train_cfg.patience:
-                break
+            val_loss, val_accuracy = _evaluate_split(flat, model_cfg, val_segments)
+            if not math.isfinite(val_loss):
+                raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+            history.append({
+                "epoch": epoch,
+                "train_loss": loss_sum / len(perm),
+                "val_loss": val_loss,
+                "val_accuracy": val_accuracy,
+            })
+            print(f"epoch {epoch}: train loss {history[-1]['train_loss']:.4f}, "
+                  f"val loss {val_loss:.4f}, val accuracy {val_accuracy:.4f}, "
+                  f"{len(perm) / seconds:.1f} segments/s, "
+                  f"grad norm {sum(norms) / len(norms):.3g} (pre-clip mean)",
+                  file=sys.stderr)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best = flat
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= train_cfg.patience:
+                    break
+    if workers:
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        print(f"gradient workers' peak RSS {peak:.1f} MB", file=sys.stderr)
 
     return TrainResult(_params_from_flat(best, model_cfg), stats, tuple(history),
                        best_epoch, best_val)
@@ -369,9 +522,9 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
     cfg = train_cfg or TrainConfig()
     flat, state = _init_training(model_cfg)
     losses = []
+    pool = _GradientPool(model_cfg, [(feats, targets)], workers=0, batch_size=1)
     for _ in range(steps):
-        flat, state, (loss_value,), _ = _adam_batch_step(
-            flat, state, model_cfg, cfg, [(feats, targets)])
+        flat, state, (loss_value,), _ = _adam_batch_step(flat, state, cfg, pool, [0])
         losses.append(loss_value)
         if stop_below is not None and loss_value < stop_below:
             break

@@ -127,6 +127,7 @@ class TestWavIO:
         with pytest.raises(WavFormatError) as err:
             read_wav(path)
         assert err.value.offset == 0
+        assert str(err.value) == "bad magic b'RIFX' (byte offset 0)"
 
     def test_opposite_stereo_channels_cancel(self, tmp_path):
         x = (np.sin(2 * np.pi * 220.0 * np.arange(SR // 10) / SR) * 20000).astype("<i2")
@@ -199,8 +200,45 @@ class TestWavIO:
     def test_audio_clip_validates(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            AudioClip(np.array([np.nan]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                AudioClip(np.array([0.0, bad, 0.0]))
+        # A clip keeps its own read-only copy of what callers pass.
+        samples = np.zeros(4)
+        clip = AudioClip(samples)
+        samples[0] = 0.5
+        assert clip.samples[0] == 0.0
+        assert not clip.samples.flags.writeable
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_float32_decode_bytes_match_reference(self, tmp_path, channels):
+        values = np.random.default_rng(31).uniform(-1.5, 1.5, 4 * channels).astype("<f4")
+        values[:2] = [1.0, -1.25]  # a full-scale sample and one that is clipped
+        body = values.tobytes()
+        fmt = struct.pack("<HHIIHH", 3, channels, SR, SR * 4 * channels, 4 * channels, 32)
+        payload = (b"WAVE"
+                   + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                   + b"data" + struct.pack("<I", len(body)) + body)
+        path = tmp_path / "float.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(payload)) + payload)
+        ref = values.astype(np.float64)
+        if channels > 1:
+            ref = ref.reshape(-1, channels).mean(axis=1)
+        assert read_wav(path).samples.tobytes() == np.clip(ref, -1.0, 1.0).tobytes()
+
+    def test_decode_holds_one_float_copy_of_the_song(self, tmp_path):
+        # 10 s of PCM16: the file's bytes (2 per sample) plus the kept float64
+        # samples (8 per sample) peak at 1.29 times the samples; a second
+        # float copy would bring that to 2.3 or more.
+        path = tmp_path / "song.wav"
+        write_wav(path, AudioClip(np.random.default_rng(32).uniform(-0.9, 0.9, 10 * SR)))
+        tracemalloc.start()
+        try:
+            clip = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * clip.samples.nbytes
 
 
 class TestCqt:

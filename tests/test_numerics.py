@@ -261,6 +261,18 @@ class TestGrad:
             nm.mul(t64([1.0]), 2.0)
         assert len(again) == 1
 
+    def test_replay_consumes_the_tape(self):
+        p = t64([1.0, 2.0])
+        with nm.Tape() as tape:
+            h = nm.mul(p, p)
+            loss = nm.sum_all(h)
+        gp, gh = tape.gradients(loss, [p, h])
+        assert np.array_equal(gp.data, [2.0, 4.0])
+        assert np.array_equal(gh.data, [1.0, 1.0])  # an op output can be asked for too
+        assert len(tape) == 2
+        with pytest.raises(RuntimeError, match="already been replayed"):
+            tape.gradients(loss, [p])
+
     def test_loss_must_be_scalar(self):
         p = t64([1.0, 2.0])
         with pytest.raises(nm.ShapeError):

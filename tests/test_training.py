@@ -1,12 +1,17 @@
 """Training loop tests: loss oracles, optimizer algebra, determinism."""
 
 import math
+import multiprocessing
+import os
+import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bmace import chords
+from bmace import cli
 from bmace import features as ft
 from bmace import gradcheck as gc
 from bmace import mamba as mb
@@ -255,28 +260,32 @@ def flatten(named):
 class TestFlatStep:
     @pytest.mark.parametrize("scale, clips", [(1.0, False), (30.0, True)])
     def test_matches_per_tensor_reference_bit_for_bit(self, scale, clips):
-        # Scaled-up features push the mean gradient past CLIP_NORM.
+        # Scaled-up features push the mean gradient past CLIP_NORM. With
+        # one worker, the parent computes segment 0 and the worker segment 1.
         cfg = tiny_config(variant=md.BMACE, n_classes=5)
         tcfg = tr.TrainConfig(learning_rate=1e-2)
         rng = np.random.default_rng(27)
         segments = [((scale * rng.standard_normal((12, 144))).astype(np.float32),
                      rng.integers(0, 5, size=12)) for _ in range(2)]
-        flat, state = tr._init_training(cfg)
-        named = {name: t.data.copy()
-                 for name, t in md.init_model(cfg, dtype=STANDARD).named_tensors()}
-        assert list(named) == list(md.tensor_shapes(cfg))
-        m = {k: np.zeros_like(a) for k, a in named.items()}
-        v = {k: np.zeros_like(a) for k, a in named.items()}
-        t = 0
-        for _ in range(2):
-            flat, state, _, norm = tr._adam_batch_step(flat, state, cfg, tcfg, segments)
-            t, ref_norm = dict_batch_step(named, m, v, t, cfg, segments, tcfg.learning_rate)
-            assert (norm > tr.CLIP_NORM) == clips
-            assert abs(norm - ref_norm) <= 1e-12 * ref_norm
-            assert state.t == t
-            for ours, ref in ((flat, named), (state.m, m), (state.v, v)):
-                assert ours.dtype == np.float32
-                assert np.array_equal(ours, flatten(ref))
+        for workers in (0, 1):
+            flat, state = tr._init_training(cfg)
+            named = {name: t.data.copy()
+                     for name, t in md.init_model(cfg, dtype=STANDARD).named_tensors()}
+            assert list(named) == list(md.tensor_shapes(cfg))
+            m = {k: np.zeros_like(a) for k, a in named.items()}
+            v = {k: np.zeros_like(a) for k, a in named.items()}
+            t = 0
+            with tr._GradientPool(cfg, segments, workers, batch_size=2) as pool:
+                for _ in range(2):
+                    flat, state, _, norm = tr._adam_batch_step(flat, state, tcfg, pool, [0, 1])
+                    t, ref_norm = dict_batch_step(named, m, v, t, cfg, segments,
+                                                  tcfg.learning_rate)
+                    assert (norm > tr.CLIP_NORM) == clips
+                    assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+                    assert state.t == t
+                    for ours, ref in ((flat, named), (state.m, m), (state.v, v)):
+                        assert ours.dtype == np.float32
+                        assert np.array_equal(ours, flatten(ref))
 
     def test_non_finite_parameter_is_named(self):
         cfg = tiny_config(variant=md.BMACE, n_classes=3)
@@ -287,9 +296,11 @@ class TestFlatStep:
         flat[ends["block_b.A_log"] - 1] = np.inf  # a later tensor
         rng = np.random.default_rng(28)
         segment = (rng.standard_normal((8, 144)).astype(np.float32), np.zeros(8, dtype=np.int64))
-        with pytest.raises(tr.TrainingDivergedError,
-                           match=r"^parameter block_a\.out_proj became non-finite$"):
-            tr._adam_batch_step(flat, state, cfg, tr.TrainConfig(), [segment])
+        for workers in (0, 1):
+            with tr._GradientPool(cfg, [segment] * 2, workers, batch_size=2) as pool:
+                with pytest.raises(tr.TrainingDivergedError,
+                                   match=r"^parameter block_a\.out_proj became non-finite$"):
+                    tr._adam_batch_step(flat, state, tr.TrainConfig(), pool, [0, 1])
 
 
 class TestSplitDataset:
@@ -445,13 +456,16 @@ class TestTrainLoop:
             assert name_a == name_b
             assert np.array_equal(ta.data, tb.data)
 
-    def test_one_progress_line_per_epoch_on_stderr(self, capsys):
+    def test_one_progress_line_per_epoch_on_stderr(self, capsys, monkeypatch):
+        monkeypatch.setattr(tr, "_gradient_workers", lambda batch_size: (1, "forced"))
         corpus = self.make_corpus()
         tcfg = tr.TrainConfig(max_epochs=2, batch_size=2, seed=0)
         result = tr.train(tiny_config(), tcfg, corpus[:4], corpus[4:], chords.MAJMIN_25)
         captured = capsys.readouterr()
-        lines = captured.err.splitlines()
+        first, *lines, last = captured.err.splitlines()
         assert captured.out == ""
+        assert first == "gradients on the parent and 1 forked worker(s) (forced)"
+        assert re.fullmatch(r"gradient workers' peak RSS \d+\.\d MB", last)
         assert len(lines) == len(result.history)
         for record, line in zip(result.history, lines):
             assert line.startswith(f"epoch {record['epoch']}: ")
@@ -465,6 +479,131 @@ class TestTrainLoop:
         corpus = self.make_corpus()
         with pytest.raises(ValueError):
             tr.train(tiny_config(), tr.TrainConfig(), [], corpus[:1], chords.MAJMIN_25)
+
+
+class TestGradientPool:
+    """Forked gradient workers change neither bytes nor errors, and leave nothing running."""
+
+    CORPORA = {}
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        monkeypatch.setattr(tr, "_gradient_workers", lambda batch_size: (workers, "forced"))
+
+    @pytest.fixture
+    def cached_corpus(self, monkeypatch):
+        # Each vocabulary's corpus is synthesized once for the whole class.
+        make = tr.make_synthetic_corpus
+
+        def cached(*args, **kwargs):
+            key = (args, tuple(sorted(kwargs.items())))
+            if key not in self.CORPORA:
+                self.CORPORA[key] = make(*args, **kwargs)
+            return self.CORPORA[key]
+
+        monkeypatch.setattr(tr, "make_synthetic_corpus", cached)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    @pytest.mark.parametrize("vocab", ["majmin", "large"])
+    def test_checkpoint_bytes_do_not_depend_on_the_worker_count(
+            self, capsys, monkeypatch, tmp_path, cached_corpus, vocab, batch_size):
+        # Five training clips: batches of 3 and 4 leave a shorter last batch.
+        outputs = {}
+        for workers in (0, 1, 2, 3):
+            self.force_workers(monkeypatch, workers)
+            out = tmp_path / f"w{workers}" / "model"
+            assert cli.main(["train", "--variant", "bmace", "--vocab", vocab,
+                             "--synthetic", "7", "--duration", "2.0", "--epochs", "2",
+                             "--batch-size", str(batch_size), "--seed", "5",
+                             "--out", str(out)]) == cli.EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs[workers] = [out.with_name(out.name + suffix).read_bytes()
+                                for suffix in (".json", ".bin", ".history.json")]
+        capsys.readouterr()
+        assert all(files == outputs[0] for files in outputs.values())
+
+    def segments(self, bad):
+        """Four segments; ``bad`` maps a position to "nan" features or "skip" targets."""
+        rng = np.random.default_rng(29)
+        out = []
+        for pos in range(4):
+            feats = rng.standard_normal((8, 144)).astype(np.float32)
+            targets = rng.integers(0, 3, size=8)
+            if bad.get(pos) == "nan":
+                feats[3, 7] = np.nan
+            elif bad.get(pos) == "skip":
+                targets[:] = SKIP
+            out.append((feats, targets))
+        return out
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ({3: "nan"}, tr.TrainingDivergedError,
+         "^non-finite feature values reached a training step$"),
+        ({2: "skip", 3: "nan"}, ValueError, "masked out"),
+        ({0: "nan", 1: "skip"}, tr.TrainingDivergedError, "non-finite feature"),
+        ({1: "skip", 2: "nan"}, ValueError, "masked out"),
+    ], ids=["nan-last", "skip-before-nan", "nan-before-skip", "skip-then-nan-mid-batch"])
+    def test_the_earliest_failing_segment_raises_as_without_workers(self, bad, error, message):
+        cfg = tiny_config(n_classes=3)
+        segments = self.segments(bad)
+        for workers in (0, 1, 3):
+            flat, _ = tr._init_training(cfg)
+            with tr._GradientPool(cfg, segments, workers, batch_size=4) as pool:
+                with pytest.raises(error, match=message):
+                    pool.gradient(flat, [0, 1, 2, 3])
+            assert multiprocessing.active_children() == []
+
+    def test_nan_feature_on_a_worker_stops_train_with_the_serial_error(self, monkeypatch):
+        corpus = tr.make_synthetic_corpus(5, chords.MAJMIN_25, seed=3, duration_s=2.0)
+        build = tr.build_dataset
+
+        def poisoned(examples, vocab, stats, split):
+            segments = build(examples, vocab, stats, split)
+            if split == "training":
+                # The last segment of the first batch, which the third worker takes.
+                assert len(segments) == 4
+                last = int(np.random.default_rng(0).permutation(4)[-1])
+                segments[last][0][0, 0] = np.nan
+            return segments
+
+        monkeypatch.setattr(tr, "build_dataset", poisoned)
+        messages = []
+        for workers in (0, 3):
+            self.force_workers(monkeypatch, workers)
+            with pytest.raises(tr.TrainingDivergedError) as exc:
+                tr.train(tiny_config(), tr.TrainConfig(batch_size=4, seed=0), corpus[:4],
+                         corpus[4:], chords.MAJMIN_25)
+            messages.append(str(exc.value))
+            assert multiprocessing.active_children() == []
+        assert messages == ["non-finite feature values reached a training step"] * 2
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(self, monkeypatch):
+        parent = os.getpid()
+        loss_and_grads = tr._loss_and_grads
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(tr, "_loss_and_grads", dies_in_a_worker)
+        self.force_workers(monkeypatch, 1)
+        corpus = tr.make_synthetic_corpus(5, chords.MAJMIN_25, seed=3, duration_s=2.0)
+        with pytest.raises(RuntimeError, match=r"gradient worker \d+ died \(exit code 3\)"):
+            tr.train(tiny_config(), tr.TrainConfig(batch_size=2), corpus[:4], corpus[4:],
+                     chords.MAJMIN_25)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_follows_cpus_batch_threads_and_fork(self, monkeypatch):
+        monkeypatch.setattr(ft, "available_cpus", lambda: 4)
+        assert tr._gradient_workers(8) == (3, "4 CPUs")
+        assert tr._gradient_workers(4) == (3, "4 CPUs")
+        assert tr._gradient_workers(2) == (1, "batch size 2")
+        assert tr._gradient_workers(1) == (0, "batch size 1")
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert tr._gradient_workers(8) == (0, "threads alive")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert tr._gradient_workers(8) == (0, "no fork")
 
 
 class TestOverfit:
