@@ -5,7 +5,8 @@ Exit codes are uniform: 0 success, 1 a verification check failed, 2 usage
 or input error. Commands that write files also write a JSON run manifest
 next to their outputs with every default materialized, so a run is fully
 described by its manifest. Outputs carry no timestamps; identical flags,
-seeds, and inputs reproduce identical bytes at the same BLAS thread count.
+seeds, and inputs reproduce identical bytes on the same machine, numpy and
+BLAS build, and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ def _ensure_parent(path):
         parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create output directory {parent}: {exc}") from exc
-    return path
 
 
 def _read_clip(path):
@@ -102,7 +102,8 @@ def _audio_lab_pairs(audio_dir):
         lab = wav.with_suffix(".lab")
         if not lab.is_file():
             raise CliError(f"missing annotation for song id {wav.stem!r}: {lab}")
-        yield wav.stem, ft.log_amplitude(ft.cqt(_read_clip(wav))), _load_lab(lab)
+        annotation = _load_lab(lab)  # first: a bad .lab costs no decode or CQT
+        yield wav.stem, ft.log_amplitude(ft.cqt(_read_clip(wav))), annotation
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def cmd_train(args):
         return EXIT_CHECK_FAILED
     except ValueError as exc:  # an empty split, or one with no frame to score
         raise CliError(str(exc)) from exc
-    mpath, bpath = md.save_checkpoint(_ensure_parent(args.out), model_cfg, result.params, extra_meta={
+    mpath, bpath = md.save_checkpoint(args.out, model_cfg, result.params, extra_meta={
         "stats": result.stats.to_dict(),
         "vocab": vocab.name,
         "best_epoch": result.best_epoch,
@@ -180,27 +181,21 @@ def cmd_train(args):
 # --------------------------------------------------------------------------
 # evaluate
 
-def _annotations_from_dir(lab_dir):
-    lab_dir = Path(lab_dir)
-    labs = sorted(lab_dir.glob("*.lab"))
-    if not labs:
-        raise CliError(f"no .lab files in {lab_dir}")
-    return {p.stem: _load_lab(p) for p in labs}
-
-
-def _estimate_pairs_from_labs(ref_dir, est_dir):
-    refs = _annotations_from_dir(ref_dir)
-    est_dir = Path(est_dir)
-    pairs = {}
-    for stem, ref in refs.items():
-        est_path = est_dir / f"{stem}.lab"
+def _lab_pairs(ref_dir, est_dir):
+    """(stem, reference, estimate) per ``.lab`` of ``ref_dir``, in stem order."""
+    ref_dir, est_dir = Path(ref_dir), Path(est_dir)
+    refs = sorted(ref_dir.glob("*.lab"))
+    if not refs:
+        raise CliError(f"no .lab files in {ref_dir}")
+    for ref_path in refs:
+        est_path = est_dir / ref_path.name
         if not est_path.is_file():
-            raise CliError(f"missing estimate for song id {stem!r}: {est_path}")
-        pairs[stem] = (ref, _load_lab(est_path))
-    return pairs
+            raise CliError(f"missing estimate for song id {ref_path.stem!r}: {est_path}")
+        yield ref_path.stem, _load_lab(ref_path), _load_lab(est_path)
 
 
-def _estimate_pairs_from_model(ckpt_path, audio_dir):
+def _model_pairs(ckpt_path, audio_dir):
+    """(stem, reference, model estimate) per WAV of ``audio_dir``, in stem order."""
     try:
         cfg, params, meta = md.load_checkpoint(ckpt_path)
     except (OSError, tensorio.BlobFormatError, KeyError, ValueError) as exc:
@@ -221,19 +216,22 @@ def _estimate_pairs_from_model(ckpt_path, audio_dir):
     if vocab.n_classes != cfg.n_classes:
         raise CliError(f"checkpoint {ckpt_path}: vocab {vocab.name!r} has {vocab.n_classes} "
                        f"classes but the model head has {cfg.n_classes}")
-    return {stem: (ref, tr.predict_annotation(params, cfg, stats, feats, vocab))
-            for stem, feats, ref in _audio_lab_pairs(audio_dir)}
+    for stem, feats, ref in _audio_lab_pairs(audio_dir):
+        yield stem, ref, tr.predict_annotation(params, cfg, stats, feats, vocab)
 
 
 def cmd_evaluate(args):
+    if args.out:
+        _ensure_parent(args.out)  # fail before the expensive work, not after
     if args.model:
-        pairs = _estimate_pairs_from_model(args.model, args.audio)
+        pairs = _model_pairs(args.model, args.audio)
     else:
-        pairs = _estimate_pairs_from_labs(args.ref, args.est)
-    for stem, (ref, _) in pairs.items():
+        pairs = _lab_pairs(args.ref, args.est)
+    results = {}
+    for stem, ref, est in pairs:
         if not ref.intervals:  # an empty estimate is valid: it reads as no-chord
             raise CliError(f"reference annotation for song id {stem!r} holds no intervals")
-    results = {stem: mt.evaluate_all(ref, est) for stem, (ref, est) in pairs.items()}
+        results[stem] = mt.evaluate_all(ref, est)
     report = {
         "songs": {stem: result.to_dict() for stem, result in results.items()},
         "aggregate": mt.aggregate(list(results.values())),
@@ -241,7 +239,7 @@ def cmd_evaluate(args):
     text = json.dumps(report, indent=1) + "\n"
     print(text, end="")
     if args.out:
-        out = Path(_ensure_parent(args.out))
+        out = Path(args.out)
         tensorio.write_atomically(out, text.encode("utf-8"))
         manifest = RunManifest(
             command="evaluate",

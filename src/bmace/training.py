@@ -314,7 +314,7 @@ class _GradientPool:
         import mmap
         import multiprocessing
 
-        size = sum(math.prod(shape) for shape in md.tensor_shapes(model_cfg).values())
+        size = md.count_params(model_cfg)
         n_slots = batch_size - batch_size // (workers + 1)
         itemsize = np.dtype(STANDARD).itemsize
         self._flat = np.frombuffer(mmap.mmap(-1, size * itemsize), dtype=STANDARD)

@@ -518,6 +518,69 @@ class TestEvaluateCommand:
         assert err == "error: reference annotation for song id 'song1' holds no intervals\n"
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to log each call; returns the log."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestBadInputStopsBeforeTranscription:
+    """A bad input exits 2 before the songs it does not concern are transcribed."""
+
+    def test_unmakeable_out_directory_costs_no_cqt(self, capsys, tmp_path, monkeypatch):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        (tmp_path / "file").write_text("a regular file\n")
+        cqts = count_calls(monkeypatch, ft, "cqt")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio),
+                                 "--out", str(tmp_path / "file" / "sub" / "report.json"))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot create output directory ")
+        assert cqts == []
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_malformed_first_lab_costs_no_cqt(self, capsys, tmp_path, monkeypatch, command):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        (audio / "song0.lab").write_text("0 1 C:nope\n")
+        if command == "train":
+            argv = ["train", "--variant", "mace-v", "--audio", str(audio), "--epochs", "1",
+                    "--out", str(tmp_path / "m")]
+        else:
+            argv = ["evaluate", "--model", str(untrained_checkpoint(tmp_path / "model")),
+                    "--audio", str(audio)]
+        cqts = count_calls(monkeypatch, ft, "cqt")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {audio / 'song0.lab'}: ")
+        assert cqts == []
+
+    def test_empty_first_reference_costs_at_most_one_model_pass(self, capsys, tmp_path,
+                                                               monkeypatch):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        (audio / "song0.lab").write_text("")
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        passes = count_calls(monkeypatch, tr, "predict_annotation")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: reference annotation for song id 'song0' holds no intervals\n"
+        assert len(passes) <= 1
+
+
 class TestGradcheckCommand:
     def test_single_variant_passes(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--variant", "mace-v")
