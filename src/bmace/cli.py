@@ -92,8 +92,16 @@ def _load_lab(path):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _load_reference(path):
+    """The annotation of a reference ``.lab``, which must hold an interval."""
+    reference = _load_lab(path)
+    if not reference.intervals:  # an empty estimate is valid: it reads as no-chord
+        raise CliError(f"reference annotation for song id {path.stem!r} holds no intervals")
+    return reference
+
+
 def _audio_lab_pairs(audio_dir):
-    """(stem, log-amplitude CQT, sibling ``.lab``) per WAV of ``audio_dir``."""
+    """(stem, log-amplitude CQT, sibling reference ``.lab``) per WAV of ``audio_dir``."""
     audio_dir = Path(audio_dir)
     wavs = sorted(audio_dir.glob("*.wav"))
     if not wavs:
@@ -102,7 +110,7 @@ def _audio_lab_pairs(audio_dir):
         lab = wav.with_suffix(".lab")
         if not lab.is_file():
             raise CliError(f"missing annotation for song id {wav.stem!r}: {lab}")
-        annotation = _load_lab(lab)  # first: a bad .lab costs no decode or CQT
+        annotation = _load_reference(lab)  # first: a bad .lab costs no decode or CQT
         yield wav.stem, ft.log_amplitude(ft.cqt(_read_clip(wav))), annotation
 
 
@@ -191,7 +199,7 @@ def _lab_pairs(ref_dir, est_dir):
         est_path = est_dir / ref_path.name
         if not est_path.is_file():
             raise CliError(f"missing estimate for song id {ref_path.stem!r}: {est_path}")
-        yield ref_path.stem, _load_lab(ref_path), _load_lab(est_path)
+        yield ref_path.stem, _load_reference(ref_path), _load_lab(est_path)
 
 
 def _model_pairs(ckpt_path, audio_dir):
@@ -229,8 +237,6 @@ def cmd_evaluate(args):
         pairs = _lab_pairs(args.ref, args.est)
     results = {}
     for stem, ref, est in pairs:
-        if not ref.intervals:  # an empty estimate is valid: it reads as no-chord
-            raise CliError(f"reference annotation for song id {stem!r} holds no intervals")
         results[stem] = mt.evaluate_all(ref, est)
     report = {
         "songs": {stem: result.to_dict() for stem, result in results.items()},

@@ -182,27 +182,24 @@ def read_wav(path):
     body, _ = raw
     if n_channels < 1:
         raise WavFormatError("zero channels", fmt_pos)
-
-    if audio_format == 1:
-        if bits != 16:
-            raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
-        frame_bytes = 2 * n_channels
-        usable = len(body) - len(body) % frame_bytes
-        pcm = np.frombuffer(body, dtype="<i2", count=usable // 2)
-        x = np.divide(pcm, 32767.0, out=np.empty(pcm.size))
-    elif audio_format == 3:
-        if bits != 32:
-            raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
-        frame_bytes = 4 * n_channels
-        usable = len(body) - len(body) % frame_bytes
-        x = np.frombuffer(body, dtype="<f4", count=usable // 4).astype(np.float64)
-    else:
+    if audio_format == 1 and bits != 16:
+        raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
+    if audio_format == 3 and bits != 32:
+        raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
+    if audio_format not in (1, 3):
         raise WavFormatError(f"unsupported audio format {audio_format}", fmt_pos)
+    if rate != SAMPLE_RATE:  # checked before the decode, which costs 8 bytes a sample
+        raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
 
+    sample_bytes = bits // 8
+    count = (len(body) - len(body) % (sample_bytes * n_channels)) // sample_bytes
+    if audio_format == 1:
+        pcm = np.frombuffer(body, dtype="<i2", count=count)
+        x = np.divide(pcm, 32767.0, out=np.empty(pcm.size))
+    else:
+        x = np.frombuffer(body, dtype="<f4", count=count).astype(np.float64)
     if n_channels > 1:
         x = x.reshape(-1, n_channels).mean(axis=1)
-    if rate != SAMPLE_RATE:
-        raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
     return AudioClip._adopt(np.clip(x, -1.0, 1.0, out=x))
 
 

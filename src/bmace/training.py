@@ -21,6 +21,7 @@ and test features reuse them.
 from __future__ import annotations
 
 import math
+import mmap
 import resource
 import signal
 import sys
@@ -253,9 +254,9 @@ def _init_training(model_cfg):
     return flat, adam_init(flat)
 
 
-def _loss_and_grads(params, model_cfg, feats, targets):
-    """(loss, gradient laid out like the parameter vector) on one segment."""
-    # The scan rejects non-finite time steps with its own invariant error,
+def _loss_and_grads(params, model_cfg, feats, targets, out):
+    """Loss on one segment; its gradient, laid out like the parameter vector, goes to ``out``."""
+    # The scan would reject non-finite time steps as a broken invariant,
     # so screen step inputs here and report the failure as what it is.
     if not np.all(np.isfinite(feats)):
         raise TrainingDivergedError("non-finite feature values reached a training step")
@@ -267,7 +268,8 @@ def _loss_and_grads(params, model_cfg, feats, targets):
     if not math.isfinite(loss_value):
         raise TrainingDivergedError("non-finite training loss")
     grads = tape.gradients(loss, list(params.values()))
-    return loss_value, np.concatenate([g.data.ravel() for g in grads])
+    np.concatenate([g.data.ravel() for g in grads], out=out)
+    return loss_value
 
 
 def _gradient_workers(batch_size):
@@ -293,39 +295,34 @@ def _gradient_workers(batch_size):
 class _GradientPool:
     """Each batch's segment gradients, on the parent and forked workers.
 
-    The workers are forked once and inherit ``segments``. Per batch, the
-    parent writes the parameter vector into one shared buffer and sends
-    each worker (slot, segment index) pairs over its pipe; the worker
-    writes each gradient into its shared slot and replies with the
-    losses, or with the first error it met. The parent computes the
-    batch's first segments meanwhile, so ``gradient`` sums every segment
-    from zeros in segment order whatever the worker count, and raises the
-    error of the earliest failing segment. With no workers the parent
-    computes every segment. A worker exits on EOF from its pipe.
+    One shared buffer holds ``batch_size + 1`` rows the size of the
+    parameter vector: row 0 the parameters, row 1 + p the gradient of batch
+    position p when a worker computes it. The workers are forked once and
+    inherit ``segments``. Per batch, the parent writes row 0 and sends each
+    worker its (first position, segment indices); the worker writes its rows
+    and replies with the losses, or with the first error it met. Meanwhile
+    the parent computes the first positions into one scratch vector, never
+    touching their rows. ``gradient`` sums every segment from zeros in
+    position order whatever the worker count, and raises the error of the
+    earliest failing segment. A worker exits on EOF from its pipe.
     """
 
     def __init__(self, model_cfg, segments, workers, batch_size):
-        self.model_cfg = model_cfg
-        self.segments = segments
-        self._conns = []
-        self._procs = []
-        if not workers:
-            return
-        import mmap
         import multiprocessing
 
+        self.model_cfg = model_cfg
+        self.segments = segments
         size = md.count_params(model_cfg)
-        n_slots = batch_size - batch_size // (workers + 1)
-        itemsize = np.dtype(STANDARD).itemsize
-        self._flat = np.frombuffer(mmap.mmap(-1, size * itemsize), dtype=STANDARD)
-        self._slots = np.frombuffer(mmap.mmap(-1, n_slots * size * itemsize),
-                                    dtype=STANDARD).reshape(n_slots, size)
-        ctx = multiprocessing.get_context("fork")
+        shared = mmap.mmap(-1, (batch_size + 1) * size * np.dtype(STANDARD).itemsize)
+        self._rows = np.frombuffer(shared, dtype=STANDARD).reshape(batch_size + 1, size)
+        self._conns = []
+        self._procs = []
         try:
             for _ in range(workers):
-                here, there = ctx.Pipe()
+                here, there = multiprocessing.Pipe()
                 self._conns.append(here)
-                proc = ctx.Process(target=self._serve, args=(there,), daemon=True)
+                proc = multiprocessing.get_context("fork").Process(
+                    target=self._serve, args=(there,), daemon=True)
                 proc.start()
                 there.close()
                 self._procs.append(proc)
@@ -351,22 +348,19 @@ class _GradientPool:
     def _serve(self, conn):
         """Worker loop: compute each job's segments until the pipe closes."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-        for other in self._conns:  # parent ends, this worker's own included
+        for other in self._conns:  # parent ends, this worker's included
             other.close()
         try:
             while True:
-                job = conn.recv()
-                losses, error = [], None
+                first, indices = conn.recv()
                 try:
-                    params = _params_from_flat(self._flat, self.model_cfg)
-                    for slot, index in job:
-                        loss_value, grad = _loss_and_grads(params, self.model_cfg,
-                                                           *self.segments[index])
-                        self._slots[slot] = grad
-                        losses.append(loss_value)
+                    params = _params_from_flat(self._rows[0], self.model_cfg)
+                    reply = ([_loss_and_grads(params, self.model_cfg, *self.segments[index],
+                                              self._rows[1 + pos])
+                              for pos, index in enumerate(indices, first)], None)
                 except Exception as exc:
-                    error = exc
-                conn.send((losses, error))
+                    reply = (None, exc)
+                conn.send(reply)
         except (EOFError, OSError):
             return
 
@@ -379,35 +373,31 @@ class _GradientPool:
         """(sum of the gradients of segments ``batch`` from zeros in order, losses)."""
         n = len(batch)
         shares = min(len(self._conns) + 1, n)
-        bounds = [n * k // shares for k in range(shares + 1)]
-        own = bounds[1]  # the parent's share comes first and is never larger
+        bounds = [n * k // shares for k in range(shares + 1)]  # the parent's share is first
         params = _params_from_flat(flat, self.model_cfg)
         if shares > 1:
-            self._flat[:] = flat
-        for k in range(shares - 1):
-            job = [(pos - own, batch[pos]) for pos in range(bounds[k + 1], bounds[k + 2])]
+            self._rows[0] = flat
+        for k in range(1, shares):
             try:
-                self._conns[k].send(job)
+                self._conns[k - 1].send((bounds[k], batch[bounds[k]:bounds[k + 1]]))
             except OSError:
-                raise self._worker_died(k) from None
+                raise self._worker_died(k - 1) from None
         acc = np.zeros_like(flat)
+        grad = np.empty_like(flat)
         losses = []
-        for index in batch[:own]:
-            loss_value, grad = _loss_and_grads(params, self.model_cfg, *self.segments[index])
+        for index in batch[:bounds[1]]:
+            losses.append(_loss_and_grads(params, self.model_cfg, *self.segments[index], grad))
             acc += grad
-            del grad
-            losses.append(loss_value)
-        for k in range(shares - 1):
+        for k in range(1, shares):
             try:
-                done, error = self._conns[k].recv()
+                done, error = self._conns[k - 1].recv()
             except (EOFError, OSError):
-                raise self._worker_died(k) from None
-            start = bounds[k + 1] - own
-            for slot in range(start, start + len(done)):
-                acc += self._slots[slot]
-            losses += done
+                raise self._worker_died(k - 1) from None
             if error is not None:
                 raise error
+            for row in self._rows[1 + bounds[k]:1 + bounds[k + 1]]:
+                acc += row
+            losses += done
         return acc, losses
 
 
@@ -448,7 +438,7 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     each epoch prints one progress line (losses, validation accuracy,
     training segments per second and the mean pre-clip gradient norm of
     its Adam steps), and a last line gives the workers' peak RSS, which
-    the parent's own peak does not count. Wall times and memory go only
+    the parent's peak does not count. Wall times and memory go only
     there, so the history stays reproducible.
     """
     if not train_clips or not val_clips:

@@ -580,6 +580,34 @@ class TestBadInputStopsBeforeTranscription:
         assert err == "error: reference annotation for song id 'song0' holds no intervals\n"
         assert len(passes) <= 1
 
+    def test_empty_first_reference_costs_no_model_pass(self, capsys, tmp_path, monkeypatch):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        (audio / "song0.lab").write_text("# no intervals\n")
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        passes = count_calls(monkeypatch, tr, "predict_annotation")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: reference annotation for song id 'song0' holds no intervals\n"
+        assert passes == []
+
+    def test_train_rejects_an_empty_first_reference_as_evaluate_does(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 4)
+        (audio / "song0.lab").write_text("")
+        cqts = count_calls(monkeypatch, ft, "cqt")
+        out = tmp_path / "m"
+        code, stdout, err = run_cli(capsys, "train", "--variant", "mace-v", "--audio",
+                                    str(audio), "--epochs", "1", "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        assert stdout == ""
+        assert err == "error: reference annotation for song id 'song0' holds no intervals\n"
+        assert cqts == []
+        assert list(tmp_path.glob("m*")) == []
+
 
 class TestGradcheckCommand:
     def test_single_variant_passes(self, capsys):

@@ -240,6 +240,26 @@ class TestWavIO:
             tracemalloc.stop()
         assert peak <= 1.5 * clip.samples.nbytes
 
+    def test_other_rate_is_rejected_before_the_decode(self, tmp_path):
+        # 20 s of 44.1-kHz stereo PCM16. Reading the file holds its bytes;
+        # decoding them first would add 8 bytes of float per sample.
+        path = tmp_path / "cd.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(2)
+            w.setsampwidth(2)
+            w.setframerate(44100)
+            w.writeframes(np.random.default_rng(33).integers(
+                -20000, 20000, 2 * 20 * 44100, dtype="<i2").tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRateError,
+                               match="^sample rate 44100 unsupported, expected 22050$"):
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * path.stat().st_size
+
 
 class TestCqt:
     def test_c1_tone_peaks_at_bin_zero(self):

@@ -693,7 +693,7 @@ class TestPrediction:
         rng = np.random.default_rng(25)
         feats = rng.standard_normal((20, 144)).astype(np.float32)
         tr._loss_and_grads(tr._params_from_flat(flat, cfg), cfg, feats,
-                           rng.integers(0, 25, size=20))
+                           rng.integers(0, 25, size=20), np.empty_like(flat))
         # Two blocks, each with a forward and an adjoint recurrence.
         assert impls == ["seq"] * 4
         tr.predict_classes(md.init_model(cfg, dtype=STANDARD), cfg,
