@@ -1,11 +1,12 @@
 """Chord-label grammar, annotation files, and class vocabularies.
 
-Labels follow the common ``ROOT[:QUALITY][(DEGREES)][/BASS]`` text syntax:
-a natural root A..G with any number of ``#`` or ``b`` modifiers, an
-optional shorthand quality, an optional parenthesised degree list whose
-entries add degrees (or remove them when starred, e.g. ``*3``), and an
-optional bass degree. ``N`` is the no-chord token and ``X`` marks a label
-that could not be read.
+Labels follow the common ``ROOT[:QUALITY][(DEGREES)][/BASS]`` text syntax,
+which the regular expression ``_CHORD`` states: a natural root A..G with
+any number of ``#`` or ``b`` modifiers, an optional shorthand quality, an
+optional parenthesised degree list whose entries add degrees (or remove
+them when starred, e.g. ``*3``), and an optional bass degree. A degree
+(``_DEGREE``) is modifiers then a decimal number. ``N`` is the no-chord
+token and ``X`` marks a label that could not be read.
 
 Two class vocabularies are supported: a 25-class one (12 roots as major
 or minor, plus no-chord) and a 170-class one (12 roots across 14
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -76,6 +78,14 @@ _DEGREE_SEMITONES = {
     1: 0, 2: 2, 3: 4, 4: 5, 5: 7, 6: 9, 7: 11,
     8: 12, 9: 14, 10: 16, 11: 17, 12: 19, 13: 21,
 }
+
+# The token grammar, ROOT[:QUALITY][(DEGREES)][/BASS]. A quality is the
+# run of letters and digits after ':', and the degree list runs to the
+# first ')', so parse_chord can name the column of a fault inside either.
+_CHORD = re.compile(r"(?P<root>[A-G][#b]*)(?::(?P<quality>[^\W_]*)"
+                    r"(?:\((?P<degrees>[^)]*)(?P<close>\))?)?)?(?:/(?P<bass>[#b]*\d*))?")
+# One degree: sharps and flats, then a decimal number.
+_DEGREE = re.compile(r"([#b]*)(\d*)")
 
 
 class ParseError(ValueError):
@@ -138,22 +148,15 @@ class ChordLabel:
         return frozenset((self.root + i) % 12 for i in self.intervals)
 
 
-def _parse_degree(text, pos):
-    """Read one degree (modifiers then number) from ``text`` at ``pos``."""
-    start = pos
-    shift = 0
-    while pos < len(text) and text[pos] in "#b":
-        shift += 1 if text[pos] == "#" else -1
-        pos += 1
-    digits = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == digits:
-        raise ParseError("expected a degree number", pos)
-    number = int(text[digits:pos])
+def _degree(text, pos):
+    """(semitones, end column) of the degree ``[#b]*DIGITS`` at ``pos``."""
+    m = _DEGREE.match(text, pos)
+    if not m[2]:
+        raise ParseError("expected a degree number", m.start(2))
+    number = int(m[2])
     if number not in _DEGREE_SEMITONES:
-        raise ParseError(f"degree {number} out of range 1..13", start)
-    return (_DEGREE_SEMITONES[number] + shift) % 12, pos
+        raise ParseError(f"degree {number} out of range 1..13", pos)
+    return (_DEGREE_SEMITONES[number] + m[1].count("#") - m[1].count("b")) % 12, m.end()
 
 
 # Labels are frozen, so every caller may share one per token. The cache is
@@ -162,7 +165,9 @@ def _parse_degree(text, pos):
 def parse_chord(text):
     """Parse one chord token into a ChordLabel.
 
-    Raises ParseError with the offending column for malformed input.
+    Raises ParseError with the offending column for malformed input: the
+    groups of ``_CHORD`` are checked left to right, so the first fault in
+    the token is the one reported.
     """
     if not text:
         raise ParseError("empty chord token", 0)
@@ -170,77 +175,42 @@ def parse_chord(text):
         return ChordLabel.no_chord()
     if text == UNKNOWN:
         return ChordLabel.unknown()
-    c = text[0]
-    if c in (NO_CHORD, UNKNOWN):
-        raise ParseError(f"unexpected text after {c!r}", 1)
-    if c not in _NATURALS:
-        raise ParseError(f"expected a root letter A..G, got {c!r}", 0)
-    root = _NATURALS[c]
-    pos = 1
-    while pos < len(text) and text[pos] in "#b":
-        root += 1 if text[pos] == "#" else -1
-        pos += 1
-    root %= 12
-
-    shorthand = None
-    adds = []
-    omits = []
-    have_list = False
-    if pos < len(text) and text[pos] == ":":
-        pos += 1
-        if pos >= len(text):
-            raise ParseError("missing quality after ':'", pos)
-        if text[pos] != "(":
-            start = pos
-            while pos < len(text) and text[pos].isalnum():
-                pos += 1
-            shorthand = text[start:pos]
-            if not shorthand:
-                raise ParseError("missing quality after ':'", start)
-            if shorthand not in TEMPLATES and shorthand not in _EXTENDED:
-                raise ParseError(f"unknown quality {shorthand!r}", start)
-        if pos < len(text) and text[pos] == "(":
-            have_list = True
-            pos += 1
-            while True:
-                if pos >= len(text):
-                    raise ParseError("unterminated degree list", len(text))
-                omit = False
-                if text[pos] == "*":
-                    omit = True
-                    pos += 1
-                degree, pos = _parse_degree(text, pos)
-                (omits if omit else adds).append(degree)
-                if pos >= len(text):
-                    raise ParseError("unterminated degree list", len(text))
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                raise ParseError("expected ',' or ')' in degree list", pos)
-
-    bass = 0
-    if pos < len(text) and text[pos] == "/":
-        pos += 1
-        bass, pos = _parse_degree(text, pos)
-    if pos != len(text):
-        raise ParseError(f"unexpected trailing text {text[pos:]!r}", pos)
-
-    if shorthand is not None:
-        base = set(TEMPLATES.get(shorthand) or _EXTENDED[shorthand])
-    elif have_list:
-        base = set()
+    if text[0] in (NO_CHORD, UNKNOWN):
+        raise ParseError(f"unexpected text after {text[0]!r}", 1)
+    m = _CHORD.match(text)
+    if m is None:
+        raise ParseError(f"expected a root letter A..G, got {text[0]!r}", 0)
+    root = _NATURALS[text[0]] + m["root"].count("#") - m["root"].count("b")
+    quality, degrees = m["quality"], m["degrees"]
+    if quality == "" and degrees is None:
+        raise ParseError("missing quality after ':'", m.start("quality"))
+    if quality and quality not in TEMPLATES and quality not in _EXTENDED:
+        raise ParseError(f"unknown quality {quality!r}", m.start("quality"))
+    if quality:
+        intervals = set(TEMPLATES.get(quality) or _EXTENDED[quality])
     else:
-        base = set(TEMPLATES["maj"])
-    for degree in adds:
-        base.add(degree)
-    for degree in omits:
-        base.discard(degree)
-    intervals = frozenset(base)
+        intervals = set() if degrees is not None else set(TEMPLATES["maj"])
+    omits = set()  # removed after every added degree is in
+    if degrees is not None:
+        pos = m.start("degrees")
+        for item in degrees.split(","):
+            if pos == len(text):
+                raise ParseError("unterminated degree list", pos)
+            omit = item.startswith("*")
+            degree, end = _degree(text, pos + omit)
+            (omits if omit else intervals).add(degree)
+            pos += len(item)
+            if end != pos:
+                raise ParseError("expected ',' or ')' in degree list", end)
+            pos += 1
+        if m["close"] is None:
+            raise ParseError("unterminated degree list", len(text))
+    bass = 0 if m["bass"] is None else _degree(text, m.start("bass"))[0]
+    if m.end() != len(text):
+        raise ParseError(f"unexpected trailing text {text[m.end():]!r}", m.end())
+    intervals = frozenset(intervals - omits)
     quality = next((q for q in QUALITIES if TEMPLATES[q] == intervals), None)
-    return ChordLabel(root=root, quality=quality, intervals=intervals, bass=bass)
+    return ChordLabel(root=root % 12, quality=quality, intervals=intervals, bass=bass)
 
 
 @dataclass(frozen=True)

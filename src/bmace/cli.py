@@ -65,12 +65,19 @@ class RunManifest:
         return path
 
 
-def _ensure_parent(path):
-    parent = Path(path).resolve().parent
-    try:
-        parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {parent}: {exc}") from exc
+def _ensure_outputs(*paths):
+    """Make each output's directory, and reject an output that is one.
+
+    Called before the expensive work, so a bad ``--out`` costs none of it.
+    """
+    for path in map(Path, paths):
+        parent = path.resolve().parent
+        try:
+            parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot create output directory {parent}: {exc}") from exc
+        if path.is_dir():
+            raise CliError(f"output path {path} is a directory")
 
 
 def _read_clip(path):
@@ -119,7 +126,9 @@ def _audio_lab_pairs(audio_dir):
 
 
 def cmd_train(args):
-    _ensure_parent(args.out)  # fail before the expensive work, not after
+    history_path = tensorio.sibling(args.out, ".history.json")
+    _ensure_outputs(tensorio.manifest_path(args.out), tensorio.blob_path(args.out),
+                    history_path, tensorio.sibling(args.out, ".manifest.json"))
     vocab = chords.VOCABS[args.vocab]
     try:
         model_cfg = md.ModelConfig(variant=args.variant,
@@ -150,7 +159,6 @@ def cmd_train(args):
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
     })
-    history_path = tensorio.sibling(args.out, ".history.json")
     tensorio.write_atomically(history_path, (json.dumps({
         "history": list(result.history),
         "best_epoch": result.best_epoch,
@@ -230,7 +238,7 @@ def _model_pairs(ckpt_path, audio_dir):
 
 def cmd_evaluate(args):
     if args.out:
-        _ensure_parent(args.out)  # fail before the expensive work, not after
+        _ensure_outputs(args.out, tensorio.sibling(args.out, ".manifest.json"))
     if args.model:
         pairs = _model_pairs(args.model, args.audio)
     else:

@@ -296,15 +296,17 @@ class _GradientPool:
     """Each batch's segment gradients, on the parent and forked workers.
 
     One shared buffer holds ``batch_size + 1`` rows the size of the
-    parameter vector: row 0 the parameters, row 1 + p the gradient of batch
-    position p when a worker computes it. The workers are forked once and
-    inherit ``segments``. Per batch, the parent writes row 0 and sends each
-    worker its (first position, segment indices); the worker writes its rows
-    and replies with the losses, or with the first error it met. Meanwhile
-    the parent computes the first positions into one scratch vector, never
-    touching their rows. ``gradient`` sums every segment from zeros in
-    position order whatever the worker count, and raises the error of the
-    earliest failing segment. A worker exits on EOF from its pipe.
+    parameter vector: row 0 the parameters, and the last n rows the
+    gradients of an n-segment batch's positions when workers compute them,
+    so a short last batch touches no row a full batch leaves alone. The
+    workers are forked once and inherit ``segments``. Per batch, the parent
+    writes row 0 and sends each worker its (first row, segment indices); the
+    worker writes its rows and replies with the losses, or with the first
+    error it met. Meanwhile the parent computes the first positions into one
+    scratch vector, never touching their rows. ``gradient`` sums every
+    segment from zeros in position order whatever the worker count, and
+    raises the error of the earliest failing segment. A worker exits on EOF
+    from its pipe.
     """
 
     def __init__(self, model_cfg, segments, workers, batch_size):
@@ -356,8 +358,8 @@ class _GradientPool:
                 try:
                     params = _params_from_flat(self._rows[0], self.model_cfg)
                     reply = ([_loss_and_grads(params, self.model_cfg, *self.segments[index],
-                                              self._rows[1 + pos])
-                              for pos, index in enumerate(indices, first)], None)
+                                              self._rows[row])
+                              for row, index in enumerate(indices, first)], None)
                 except Exception as exc:
                     reply = (None, exc)
                 conn.send(reply)
@@ -374,12 +376,13 @@ class _GradientPool:
         n = len(batch)
         shares = min(len(self._conns) + 1, n)
         bounds = [n * k // shares for k in range(shares + 1)]  # the parent's share is first
+        first_row = len(self._rows) - n  # batch position p's row is first_row + p
         params = _params_from_flat(flat, self.model_cfg)
         if shares > 1:
             self._rows[0] = flat
         for k in range(1, shares):
             try:
-                self._conns[k - 1].send((bounds[k], batch[bounds[k]:bounds[k + 1]]))
+                self._conns[k - 1].send((first_row + bounds[k], batch[bounds[k]:bounds[k + 1]]))
             except OSError:
                 raise self._worker_died(k - 1) from None
         acc = np.zeros_like(flat)
@@ -395,7 +398,7 @@ class _GradientPool:
                 raise self._worker_died(k - 1) from None
             if error is not None:
                 raise error
-            for row in self._rows[1 + bounds[k]:1 + bounds[k + 1]]:
+            for row in self._rows[first_row + bounds[k]:first_row + bounds[k + 1]]:
                 acc += row
             losses += done
         return acc, losses

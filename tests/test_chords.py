@@ -136,6 +136,39 @@ class TestParseChord:
         with pytest.raises(ParseError):
             parse_chord("")
 
+    # One token per message parse_chord can raise, with the column of the fault.
+    @pytest.mark.parametrize("token, message, column", [
+        ("", "empty chord token", 0),
+        ("Nope", "unexpected text after 'N'", 1),
+        ("H:maj", "expected a root letter A..G, got 'H'", 0),
+        ("C:", "missing quality after ':'", 2),
+        ("C:majj", "unknown quality 'majj'", 2),
+        ("C:(1,b)", "expected a degree number", 6),
+        ("C:(1,3,14)", "degree 14 out of range 1..13", 7),
+        ("C:(1;3)", "expected ',' or ')' in degree list", 4),
+        ("C:(", "unterminated degree list", 3),
+        ("C:maj(9", "unterminated degree list", 7),
+        ("C:maj!", "unexpected trailing text '!'", 5),
+    ], ids=["empty", "text-after-N", "bad-root", "missing-quality", "unknown-quality",
+            "no-degree-number", "degree-out-of-range", "bad-list-separator",
+            "unterminated-empty-list", "unterminated-list", "trailing-text"])
+    def test_error_message_and_column(self, token, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_chord(token)
+        assert str(err.value) == f"{message} (column {column})"
+        assert err.value.column == column
+
+    @pytest.mark.parametrize("token, column", [("C/²", 2), ("C:(1,²)", 5)])
+    def test_non_decimal_digit_is_not_a_degree_number(self, token, column):
+        # "²" is a digit to str.isdigit, but int() cannot read it.
+        with pytest.raises(ParseError) as err:
+            parse_chord(token)
+        assert str(err.value) == f"expected a degree number (column {column})"
+        assert err.value.column == column
+
+    def test_decimal_digits_of_any_script_read_as_degrees(self):
+        assert parse_chord("C/\u0663") == parse_chord("C/3")  # ARABIC-INDIC DIGIT THREE
+
 
 class TestParseLab:
     def test_two_line_file(self):
@@ -186,6 +219,11 @@ class TestParseLab:
     def test_bad_label_reports_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_lab("0.0 1.0 H:maj")
+
+    def test_non_decimal_digit_in_a_label_reports_line_and_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_lab("0 1 C/²\n")
+        assert str(err.value) == "line 1: expected a degree number (column 2)"
 
     def test_repeated_bad_label_reports_its_first_line(self):
         with pytest.raises(ParseError, match="^line 2: "):

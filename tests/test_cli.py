@@ -489,6 +489,18 @@ class TestEvaluateCommand:
         assert err.startswith(f"error: cannot load checkpoint {ckpt}: ") and err.count("\n") == 1
         assert cause in err
 
+    def test_non_decimal_digit_in_a_lab_names_file_line_and_column(self, capsys, tmp_path):
+        ref = tmp_path / "ref"
+        est = tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        (ref / "a.lab").write_text("0 1 C/²\n", encoding="utf-8")
+        (est / "a.lab").write_text("0 1 C\n")
+        code, out, err = run_cli(capsys, "evaluate", "--ref", str(ref), "--est", str(est))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {ref / 'a.lab'}: line 1: expected a degree number (column 2)\n"
+
     @pytest.mark.parametrize("text", ["", "# no intervals\n"], ids=["empty", "comment-only"])
     def test_empty_reference_lab_is_a_usage_error(self, capsys, tmp_path, text):
         ref = tmp_path / "ref"
@@ -547,6 +559,50 @@ class TestBadInputStopsBeforeTranscription:
         assert out == ""
         assert err.startswith("error: cannot create output directory ")
         assert cqts == []
+
+    @pytest.mark.parametrize("name", ["report.json", "report.manifest.json"])
+    def test_directory_among_evaluate_outputs_costs_no_cqt(self, capsys, tmp_path,
+                                                           monkeypatch, name):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        (tmp_path / name).mkdir()
+        cqts = count_calls(monkeypatch, ft, "cqt")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio), "--out", str(tmp_path / "report.json"))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: output path {tmp_path / name} is a directory\n"
+        assert cqts == []
+
+    def test_directory_out_scores_no_lab_pair(self, capsys, tmp_path, monkeypatch):
+        ref = tmp_path / "ref"
+        est = tmp_path / "est"
+        ref.mkdir()
+        est.mkdir()
+        for d in (ref, est):
+            (d / "s1.lab").write_text("0 2 C:maj\n")
+        (tmp_path / "report").mkdir()
+        scores = count_calls(monkeypatch, mt, "evaluate_all")
+        code, out, err = run_cli(capsys, "evaluate", "--ref", str(ref), "--est", str(est),
+                                 "--out", str(tmp_path / "report"))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: output path {tmp_path / 'report'} is a directory\n"
+        assert scores == []
+
+    @pytest.mark.parametrize("suffix", [".json", ".bin", ".history.json", ".manifest.json"])
+    def test_directory_among_train_outputs_costs_no_training(self, capsys, tmp_path,
+                                                             monkeypatch, suffix):
+        (tmp_path / "run" / f"m{suffix}").mkdir(parents=True)
+        runs = count_calls(monkeypatch, tr, "train")
+        code, out, err = run_cli(capsys, "train", "--variant", "mace-v", "--synthetic", "4",
+                                 "--duration", "2.0", "--epochs", "1", "--batch-size", "2",
+                                 "--out", str(tmp_path / "run" / "m"))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: output path {tmp_path / 'run' / f'm{suffix}'} is a directory\n"
+        assert runs == []
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_malformed_first_lab_costs_no_cqt(self, capsys, tmp_path, monkeypatch, command):

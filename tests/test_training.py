@@ -553,6 +553,21 @@ class TestGradientPool:
                     pool.gradient(flat, [0, 1, 2, 3])
             assert multiprocessing.active_children() == []
 
+    def test_a_short_batch_writes_only_rows_a_full_batch_uses(self):
+        # The parent reads every row a worker writes, so a row that only a
+        # short batch used would join the parent's resident set.
+        cfg = tiny_config(n_classes=3)
+        segments = self.segments({})
+        flat, _ = tr._init_training(cfg)
+        with tr._GradientPool(cfg, segments, 0, batch_size=4) as pool:
+            serial, _ = pool.gradient(flat, [0, 1])
+        with tr._GradientPool(cfg, segments, 1, batch_size=4) as pool:
+            pooled, _ = pool.gradient(flat, [0, 1])
+            written = [k for k, row in enumerate(pool._rows) if row.any()]
+        # Row 0 holds the parameters; a full batch's worker writes rows 3 and 4.
+        assert written == [0, 4]
+        assert np.array_equal(pooled, serial)
+
     def test_nan_feature_on_a_worker_stops_train_with_the_serial_error(self, monkeypatch):
         corpus = tr.make_synthetic_corpus(5, chords.MAJMIN_25, seed=3, duration_s=2.0)
         build = tr.build_dataset
