@@ -125,6 +125,22 @@ class ChordLabel:
     bass: int = 0
     special: str | None = None
 
+    def __post_init__(self):
+        # Scoring looks each label up in dicts and caches many times over:
+        # hash the fields once. Equal labels still hash alike.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: str fields hash differently in another
+        # process, so the cached hash must not travel with a pickle.
+        return type(self), self._fields()
+
+    def _fields(self):
+        return self.root, self.quality, self.intervals, self.bass, self.special
+
     @classmethod
     def no_chord(cls):
         return cls(None, None, frozenset(), 0, NO_CHORD)

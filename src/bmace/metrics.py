@@ -3,17 +3,19 @@
 Seven comparators grade an estimated annotation against a reference at
 increasing strictness: root only, root plus third, the triad, the triad
 plus seventh, the full quality template, the major/minor reduction, and
-a shared-pitch-class rule (at least three common tones). One walk over
-both interval lists, in time order, cuts the reference span into
-segments at every boundary of either annotation. Each segment scores
-MATCH, MISMATCH, or SKIPPED; a comparator's recall is matched duration
-over non-skipped duration.
+a shared-pitch-class rule (at least three common tones). Every boundary
+of either annotation inside the reference span cuts it into segments,
+and each segment reads the label each side holds there (no-chord where
+a side has no interval). Each segment scores MATCH, MISMATCH, or
+SKIPPED; a comparator's recall is matched duration over non-skipped
+duration, both summed over the segments in time order.
 
 Each distinct label is reduced once per process (a bounded cache) to a
-reference key and an estimate key per comparator. Under the first six
-comparators a segment is skipped when the reference key is None and
-matches when the two keys are equal. MIREX keys are pitch-class
-bitmasks, and a segment matches when the two share at least three bits.
+reference code and an estimate code per comparator, all ints. Under the
+first six comparators a segment is skipped when the reference code is
+the skip code and matches when the two codes are equal. MIREX codes are
+pitch-class bitmasks, and a segment matches when the two share at least
+three bits.
 
 Reference labels that cannot be read (unknown, or an interval set no
 template fits) are skipped by every comparator. Estimated labels never
@@ -29,6 +31,8 @@ import math
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import chords
 
@@ -62,27 +66,48 @@ _UNREADABLE_KEY = "X"
 # shares three tones with itself and none with any chord.
 _NO_CHORD_MASK = 0b111 << 12
 _MIREX_COLUMN = _COLUMNS[MIREX]
-# Stands in for the estimate's next interval once the walk has passed its last.
-_PAST_END = (math.inf, math.inf, None)
+# The reference code that skips a segment; every other code is at least 0.
+_SKIP = -1
+# Comparator keys numbered in the order first met. Each is built from a
+# root and one of fourteen templates, so there are a few hundred at most.
+_KEY_CODES = {}
+# _TONES[m] counts the set bits of a 15-bit mask m (numpy 1.24 has no
+# bitwise_count): each doubling appends every mask with one more high bit.
+_TONES = np.zeros(1, np.uint8)
+for _ in range(15):
+    _TONES = np.concatenate((_TONES, _TONES + 1))
+# An interval before every time, so a lookup that finds no interval lands on it.
+_BEFORE_ALL = (-math.inf, -math.inf, chords.ChordLabel.no_chord())
+
+
+def _coded(ref, est):
+    """Comparator keys as one read-only (2, 7) int array: the reference row,
+    then the estimate row. None is _SKIP and the MIREX mask stays itself."""
+    codes = np.array([[_SKIP if key is None else _KEY_CODES.setdefault(key, len(_KEY_CODES))
+                       for key in keys[:_MIREX_COLUMN]] + [_SKIP if keys[-1] is None else keys[-1]]
+                      for keys in (ref, est)], np.int32)
+    codes.flags.writeable = False
+    return codes
 
 
 # Bounded by distinct labels (a few hundred in any corpus), not by songs.
 @functools.lru_cache(maxsize=1024)
-def _keys(label):
-    """(reference keys, estimate keys) of one label, one per comparator.
+def _codes(label):
+    """One label's codes: a (2, 7) array of its reference row, then its
+    estimate row, with one column per comparator.
 
     The quality is the large vocabulary's: the label's own, or its raw
-    interval set's largest template. A reference key of None skips the segment; the last key of
-    each side is the MIREX pitch-class mask.
+    interval set's largest template. A reference code of _SKIP skips the
+    segment; the last code of each side is the MIREX pitch-class mask.
     """
     majmin = chords.to_class(label, chords.MAJMIN_25)
     if label.is_no_chord:
         est = (_NO_CHORD_KEY,) * 5 + (majmin, _NO_CHORD_MASK)
-        return est, est
+        return _coded(est, est)
     mask = sum(1 << pc for pc in label.pitch_classes())
     quality = chords.LARGE_170.quality_of(label)
     if quality is None:
-        return (None,) * 7, (_UNREADABLE_KEY,) * 5 + (majmin, mask)
+        return _coded((None,) * 7, (_UNREADABLE_KEY,) * 5 + (majmin, mask))
     root = label.root
     template = chords.TEMPLATES[quality]
     est = (root, (root, chords.third_quality(template)), (root, template & _TRIAD_CLASSES),
@@ -91,25 +116,7 @@ def _keys(label):
     # third is skipped by that comparator.
     ref = est[:3] + (est[3] if quality in _SEVENTHS_DOMAIN else None, est[4],
                      None if majmin == chords.SKIP else majmin, mask)
-    return ref, est
-
-
-def _hits(columns, graded, ref_keys, est_keys):
-    """The indices j in ``graded`` whose comparator ``columns[j]`` matches.
-
-    ``graded`` lists only indices whose reference key is not None. Under
-    MIREX the two pitch-class masks must share three bits; under every
-    other comparator the keys must be equal.
-    """
-    hits = []
-    for j in graded:
-        c = columns[j]
-        if c == _MIREX_COLUMN:
-            if (ref_keys[c] & est_keys[c]).bit_count() >= 3:
-                hits.append(j)
-        elif ref_keys[c] == est_keys[c]:
-            hits.append(j)
-    return hits
+    return _coded(ref, est)
 
 
 def _column(kind):
@@ -122,89 +129,63 @@ def _column(kind):
 def compare(kind, ref, est):
     """Grade one (reference, estimate) label pair under a comparator."""
     column = _column(kind)
-    ref_keys = _keys(ref)[0]
-    if ref_keys[column] is None:
+    ref_code = _codes(ref)[0, column]
+    if ref_code == _SKIP:
         return SKIPPED
-    return MATCH if _hits((column,), (0,), ref_keys, _keys(est)[1]) else MISMATCH
+    est_code = _codes(est)[1, column]
+    if column == _MIREX_COLUMN:
+        return MATCH if _TONES[ref_code & est_code] >= 3 else MISMATCH
+    return MATCH if ref_code == est_code else MISMATCH
 
 
-def _walk(ref, ref_ids, est, est_ids):
-    """Yield (duration, ref id, est id) per segment of the merged partition.
+def _interval_arrays(annotation, ids):
+    """(starts, ends, label ids) of ``_BEFORE_ALL`` and the annotation's intervals.
 
-    One pass with an index into each interval list. A segment runs from
-    one boundary of either annotation to the next inside the reference
-    span, and a side with no interval there reads id 0 (no-chord).
+    ``ids`` numbers the distinct labels of one scored pair; no-chord is 0.
     """
-    lo, span_end = ref[0][0], ref[-1][1]
-    i = j = 0
-    n_est = len(est)
-    while j < n_est and est[j][1] <= lo:
-        j += 1
-    while lo < span_end:
-        ref_start, ref_end, _ = ref[i]
-        est_start, est_end, _ = est[j] if j < n_est else _PAST_END
-        if ref_start <= lo:
-            hi, ref_id = ref_end, ref_ids[i]
-        else:
-            hi, ref_id = ref_start, 0
-        if est_start <= lo:
-            est_id = est_ids[j]
-            if est_end < hi:
-                hi = est_end
-        else:
-            est_id = 0
-            if est_start < hi:
-                hi = est_start
-        yield hi - lo, ref_id, est_id
-        lo = hi
-        if ref_end <= lo:
-            i += 1
-        if est_end <= lo:
-            j += 1
+    starts, ends, labels = zip(_BEFORE_ALL, *annotation.intervals)
+    return (np.fromiter(starts, float, len(starts)), np.fromiter(ends, float, len(ends)),
+            np.array([ids.setdefault(label, len(ids)) for label in labels]))
 
 
-def _merged_segments(ref, est):
-    """(segments, keys) over the merged partition of the two annotations.
+def _ids_at(times, starts, ends, label_ids):
+    """Label id at each of ``times``: the last interval starting at or
+    before it, if it has not ended, else 0 (no-chord)."""
+    i = starts.searchsorted(times, "right") - 1
+    return np.where(times < ends[i], label_ids[i], 0)
 
-    ``segments`` yields (duration, ref id, est id) in time order; an id
-    numbers a distinct label of this call (0 is no-chord), and
-    ``keys[id]`` holds its ``_keys``. The partition spans the reference
-    annotation; estimate time outside its own intervals (including
-    beyond its end) reads as no-chord, so the estimate is implicitly
-    truncated or extended to the span.
+
+def _recalls(ref, est):
+    """Per comparator: (matched / non-skipped duration or None, non-skipped duration).
+
+    Segments run between the distinct boundaries of both annotations
+    inside the reference span; estimate time outside its own intervals
+    (including beyond its end) reads as no-chord, so the estimate is
+    implicitly truncated or extended to the span. The sums run segment
+    by segment in time order, as a loop over the segments would add.
     """
     if not ref.intervals:
         raise ValueError("empty reference annotation")
-    ids = {chords.ChordLabel.no_chord(): 0}
-    ref_ids = [ids.setdefault(label, len(ids)) for _, _, label in ref.intervals]
-    est_ids = [ids.setdefault(label, len(ids)) for _, _, label in est.intervals]
-    return (_walk(ref.intervals, ref_ids, est.intervals, est_ids),
-            [_keys(label) for label in ids])
-
-
-def _recalls(segments, keys, kinds):
-    """Per kind: (matched / non-skipped duration or None, non-skipped duration).
-
-    A reference id's graded kinds and each distinct (ref id, est id)
-    pair's matched kinds are worked out once. Durations still add up
-    segment by segment, in order, as a per-segment loop would.
-    """
-    columns = [_column(kind) for kind in kinds]
-    graded = [[j for j, c in enumerate(columns) if ref_keys[c] is not None]
-              for ref_keys, _ in keys]
-    matched = [0.0] * len(kinds)
-    total = [0.0] * len(kinds)
-    pairs = {}
-    for duration, ref_id, est_id in segments:
-        ref_graded = graded[ref_id]
-        for j in ref_graded:
-            total[j] += duration
-        hits = pairs.get((ref_id, est_id))
-        if hits is None:
-            hits = pairs[ref_id, est_id] = _hits(columns, ref_graded, keys[ref_id][0],
-                                                 keys[est_id][1])
-        for j in hits:
-            matched[j] += duration
+    ids = {_BEFORE_ALL[2]: 0}
+    ref_arrays, est_arrays = _interval_arrays(ref, ids), _interval_arrays(est, ids)
+    bounds = np.concatenate(ref_arrays[:2] + est_arrays[:2])
+    # Boundaries outside the span clip onto its ends; sorting puts copies side by side.
+    bounds = np.sort(np.clip(bounds, ref.intervals[0][0], ref.intervals[-1][1]))
+    lengths = np.diff(bounds)
+    cut = lengths > 0.0
+    times, durations = bounds[:-1][cut], lengths[cut]
+    # One row per comparator, one column per segment.
+    codes = np.array([_codes(label) for label in ids]).T
+    ref_codes = codes[:, 0, _ids_at(times, *ref_arrays)]
+    est_codes = codes[:, 1, _ids_at(times, *est_arrays)]
+    hits = ref_codes == est_codes
+    mirex = ref_codes[_MIREX_COLUMN] & est_codes[_MIREX_COLUMN]
+    hits[_MIREX_COLUMN] = _TONES[mirex] >= 3
+    graded = np.where(ref_codes != _SKIP, durations, 0.0)
+    matched = np.where(hits, graded, 0.0)
+    # In place: the running sums need no arrays beyond these two.
+    matched = np.add.accumulate(matched, axis=1, out=matched)[:, -1].tolist()
+    total = np.add.accumulate(graded, axis=1, out=graded)[:, -1].tolist()
     return [(m / t if t > 0.0 else None, t) for m, t in zip(matched, total)]
 
 
@@ -214,7 +195,8 @@ def wcsr(ref, est, kind):
     Score is matched duration over non-skipped duration; when every
     segment is skipped the score is undefined and reported as None.
     """
-    return _recalls(*_merged_segments(ref, est), (kind,))[0]
+    column = _column(kind)
+    return _recalls(ref, est)[column]
 
 
 class PerComparator(Mapping):
@@ -259,7 +241,7 @@ class EvalResult:
 
 def evaluate_all(ref, est):
     """Run every comparator over one (reference, estimate) pair."""
-    recalls = _recalls(*_merged_segments(ref, est), COMPARATORS)
+    recalls = _recalls(ref, est)
     return EvalResult(PerComparator(score for score, _ in recalls),
                       PerComparator(total for _, total in recalls))
 

@@ -1,5 +1,10 @@
 """Chord grammar, annotation parsing, and vocabulary mapping tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import bmace.chords as ch
@@ -168,6 +173,45 @@ class TestParseChord:
 
     def test_decimal_digits_of_any_script_read_as_degrees(self):
         assert parse_chord("C/\u0663") == parse_chord("C/3")  # ARABIC-INDIC DIGIT THREE
+
+
+class TestChordLabelHash:
+    @pytest.mark.parametrize("spellings", [("C", "C:maj", "C:(1,3,5)"), ("Db:min", "C#:min"),
+                                           ("G:7", "G:(1,3,5,b7)"), ("N",), ("X",)])
+    def test_equal_spellings_share_a_hash_and_a_dict_slot(self, spellings):
+        labels = [parse_chord(text) for text in spellings]
+        labels.append(ChordLabel(labels[0].root, labels[0].quality, labels[0].intervals,
+                                 labels[0].bass, labels[0].special))
+        assert len({id(label) for label in labels}) == len(labels)
+        assert len({hash(label) for label in labels}) == 1
+        slots = {}
+        for label in labels:
+            slots[label] = slots.get(label, 0) + 1
+        assert list(slots.values()) == [len(labels)]
+
+    def test_a_pickled_label_hashes_anew_under_another_hash_seed(self):
+        # The cached hash mixes in str hashes, which PYTHONHASHSEED changes.
+        script = (
+            "import pickle, sys\n"
+            "from bmace.chords import parse_chord\n"
+            "texts = ['C:maj', 'A:min7', 'Bb:sus4(b7)', 'N', 'X']\n"
+            "if sys.argv[1] == 'dump':\n"
+            "    labels = [parse_chord(text) for text in texts]\n"
+            "    assert len({label: text for label, text in zip(labels, texts)}) == 5\n"
+            "    sys.stdout.buffer.write(pickle.dumps((hash('maj'), labels)))\n"
+            "else:\n"
+            "    dumper_maj_hash, labels = pickle.loads(sys.stdin.buffer.read())\n"
+            "    assert hash('maj') != dumper_maj_hash\n"
+            "    lookup = {parse_chord(text): text for text in texts}\n"
+            "    assert [lookup.get(label) for label in labels] == texts\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        dumped = subprocess.run([sys.executable, "-c", script, "dump"], capture_output=True,
+                                check=True, env=dict(env, PYTHONHASHSEED="1")).stdout
+        loaded = subprocess.run([sys.executable, "-c", script, "load"], input=dumped,
+                                capture_output=True, env=dict(env, PYTHONHASHSEED="2"))
+        assert loaded.returncode == 0, loaded.stderr.decode()
 
 
 class TestParseLab:

@@ -1,5 +1,11 @@
 """Comparator truth tables, recall scoring, and aggregation tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +36,8 @@ from bmace.metrics import (
     frames_to_annotation,
     wcsr,
 )
+
+HOP_S = 2048 / 22050
 
 ALL_LARGE_LABELS = [parse_chord(class_to_label(k, LARGE_170)) for k in range(170)]
 
@@ -423,6 +431,75 @@ class TestEvaluateAll:
         yield "identical pair", ref, ref
         yield "gaps inside both", self._intervals(rng, 0.3, 28.0, 0.3), self._intervals(
             rng, 0.0, 26.0, 0.3)
+
+    @staticmethod
+    def _relabel(rng, bounds, ref=None):
+        """Spelled labels over consecutive ``bounds``, half of them ``ref``'s at the start."""
+        return [(start, end, ref.label_at(start) if ref and rng.uniform() < 0.5 else
+                 parse_chord(SPELLED_LABELS[int(rng.integers(len(SPELLED_LABELS)))]))
+                for start, end in zip(bounds, bounds[1:])]
+
+    def _song_shapes(self, rng, count):
+        """(name, ref, estimate bounds or None): a 230-260-s reference with
+        chord-length intervals against ``count`` frame-level intervals (or
+        none), in each way the two can meet."""
+        span = 230.0 + 30.0 * float(rng.uniform())
+        weights = rng.uniform(0.6, 3.0, round(span / 1.8))
+        inner = (np.cumsum(weights)[:-1] * (span / weights.sum())).tolist()
+        ref = Annotation(tuple(self._relabel(rng, [0.0, *inner, span])))
+        late = Annotation(tuple(self._relabel(rng, [1.5, *(t for t in inner if t > 1.5), span])))
+
+        def frames(start, stop, extra=()):
+            cuts = rng.choice(np.arange(1, int((stop - start) / HOP_S)), count - 1, replace=False)
+            return sorted({start, stop, *(start + cuts * HOP_S).tolist(), *extra})
+
+        yield "estimate ends early", ref, frames(0.0, span - 4.0)
+        yield "estimate overhangs both ends", late, frames(0.0, span + 3.0)
+        yield "every reference boundary shared", ref, frames(0.0, span, inner)
+        yield "empty estimate", ref, None
+
+    @pytest.mark.parametrize("count", [2400, 1600, 1100, 800, 550, 400, 300])
+    def test_songs_at_benchmark_scale_match_reference_bit_for_bit(self, count):
+        rng = np.random.default_rng([count, 23])
+        for shape, ref, bounds in self._song_shapes(rng, count):
+            est = Annotation(tuple(self._relabel(rng, bounds, ref)) if bounds else ())
+            result = evaluate_all(ref, est)
+            got = {kind: (result.scores[kind], result.durations[kind]) for kind in COMPARATORS}
+            assert got == reference_evaluate(ref, est), shape
+            assert {kind: wcsr(ref, est, kind) for kind in COMPARATORS} == got, shape
+
+    def test_scoring_a_song_holds_little_memory_and_leaves_numpy_ma_unloaded(self):
+        # Run apart: another test may have imported numpy.ma or filled the caches.
+        # numpy.ma costs about 1.3 MB of resident memory; numpy 2 loads it only
+        # on first use (np.unique is one), numpy 1 with numpy itself.
+        script = (
+            "import json, sys, tracemalloc\n"
+            "import numpy as np\n"
+            "numpy_ma = 'numpy.ma' in sys.modules\n"
+            "from bmace import chords, metrics\n"
+            "rng = np.random.default_rng(5)\n"
+            "names = [chords.class_to_label(k, chords.LARGE_170) for k in range(170)]\n"
+            "def lab(bounds):\n"
+            "    return ''.join(f'{s!r} {e!r} {names[int(rng.integers(170))]}\\n'\n"
+            "                   for s, e in zip(bounds, bounds[1:]))\n"
+            "song = np.round(np.cumsum(rng.uniform(0.6, 3.0, 133)), 3)\n"
+            "song *= 240.0 / song[-1]\n"
+            "cuts = np.sort(rng.choice(np.arange(1, 2583), 2399, replace=False))\n"
+            "ref = chords.parse_lab(lab([0.0, *song.tolist()]))\n"
+            "est = chords.parse_lab(lab([0.0, *(cuts * 2048 / 22050).tolist(), 240.0]))\n"
+            "tracemalloc.start()\n"
+            "metrics.evaluate_all(ref, est)\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(json.dumps([len(est.intervals), peak, numpy_ma, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        n_est, peak, ma_with_numpy, ma_after_scoring = json.loads(out.stdout)
+        assert n_est == 2400
+        assert ma_after_scoring == ma_with_numpy
+        assert peak < 1_000_000, f"evaluate_all peaked at {peak} bytes"
 
     @pytest.mark.parametrize("seed", range(60))
     def test_merge_walk_matches_reference_bit_for_bit(self, seed):
