@@ -6,7 +6,10 @@ any number of ``#`` or ``b`` modifiers, an optional shorthand quality, an
 optional parenthesised degree list whose entries add degrees (or remove
 them when starred, e.g. ``*3``), and an optional bass degree. A degree
 (``_DEGREE``) is modifiers then a decimal number. ``N`` is the no-chord
-token and ``X`` marks a label that could not be read.
+token and ``X`` marks a label that could not be read. Equal labels are
+one shared object, however they are spelled. ``Annotation.indices_at``
+is the one lookup from times to intervals; ``framewise_targets`` reads
+each frame's class through it at ``frame_time``.
 
 Two class vocabularies are supported: a 25-class one (12 roots as major
 or minor, plus no-chord) and a 170-class one (12 roots across 14
@@ -22,9 +25,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .features import HOP, SAMPLE_RATE
 
@@ -115,8 +119,8 @@ class ChordLabel:
     ``special`` to NO_CHORD or UNKNOWN and leave the rest empty.
 
     Labels are built only by ``parse_chord``, ``no_chord`` and
-    ``unknown``, which guarantee all of the above, so the class itself
-    checks nothing.
+    ``unknown``, which guarantee all of the above (so the class checks
+    nothing) and share one object per distinct label.
     """
 
     root: int | None
@@ -142,10 +146,12 @@ class ChordLabel:
         return self.root, self.quality, self.intervals, self.bass, self.special
 
     @classmethod
+    @functools.cache
     def no_chord(cls):
         return cls(None, None, frozenset(), 0, NO_CHORD)
 
     @classmethod
+    @functools.cache
     def unknown(cls):
         return cls(None, None, frozenset(), 0, UNKNOWN)
 
@@ -175,8 +181,11 @@ def _degree(text, pos):
     return (_DEGREE_SEMITONES[number] + m[1].count("#") - m[1].count("b")) % 12, m.end()
 
 
-# Labels are frozen, so every caller may share one per token. The cache is
-# bounded by distinct tokens, which repeat across the files of a corpus.
+# Labels are frozen, so every caller may share one per label. Both caches
+# are bounded: tokens and labels repeat across the files of a corpus.
+_shared_label = functools.lru_cache(maxsize=1024)(ChordLabel)
+
+
 @functools.lru_cache(maxsize=1024)
 def parse_chord(text):
     """Parse one chord token into a ChordLabel.
@@ -226,21 +235,22 @@ def parse_chord(text):
         raise ParseError(f"unexpected trailing text {text[m.end():]!r}", m.end())
     intervals = frozenset(intervals - omits)
     quality = next((q for q in QUALITIES if TEMPLATES[q] == intervals), None)
-    return ChordLabel(root=root % 12, quality=quality, intervals=intervals, bass=bass)
+    return _shared_label(root % 12, quality, intervals, bass)
 
 
 @dataclass(frozen=True)
 class Annotation:
     """Sorted, non-overlapping labeled time intervals.
 
-    Gaps are legal; consumers treat uncovered time as no-chord.
+    Gaps are legal; consumers treat uncovered time as no-chord. The
+    bounds are also kept as read-only float64 arrays ``starts`` and ``ends``.
     """
 
     intervals: tuple
 
     def __post_init__(self):
         prev_end = 0.0
-        ends = []
+        starts, ends = [], []
         for start, end, label in self.intervals:
             if not 0.0 <= start < end < math.inf:
                 if not (math.isfinite(start) and math.isfinite(end)):
@@ -253,25 +263,28 @@ class Annotation:
             if not isinstance(label, ChordLabel):
                 raise TypeError("interval labels must be ChordLabel")
             prev_end = end
+            starts.append(start)
             ends.append(end)
-        object.__setattr__(self, "_ends", tuple(ends))
+        for name, times in (("starts", starts), ("ends", ends)):
+            times = np.array(times, float)
+            times.flags.writeable = False
+            object.__setattr__(self, name, times)
 
     @property
     def duration(self):
         return self.intervals[-1][1] if self.intervals else 0.0
 
-    def index_at(self, t):
-        """Index of the interval holding time ``t``; None outside every interval."""
-        # Ends strictly increase: only the first interval ending after t can hold it.
-        i = bisect_right(self._ends, t)
-        if i < len(self.intervals) and self.intervals[i][0] <= t:
-            return i
-        return None
+    def indices_at(self, times):
+        """Index of the interval holding each of ``times``; -1 outside every interval."""
+        if not self.intervals:
+            return np.full(np.shape(times), -1)
+        # Starts increase: only the last interval starting at or before t can hold it.
+        i = self.starts.searchsorted(times, "right") - 1
+        return np.where((i >= 0) & (times < self.ends[i]), i, -1)
 
     def label_at(self, t):
         """Label active at time ``t``; no-chord outside every interval."""
-        i = self.index_at(t)
-        return ChordLabel.no_chord() if i is None else self.intervals[i][2]
+        return self.intervals[i][2] if (i := self.indices_at(t)) >= 0 else ChordLabel.no_chord()
 
 
 def parse_lab(text):
@@ -398,10 +411,12 @@ def frame_time(t):
 
 
 def framewise_targets(annotation, n_frames, vocab):
-    """Class id per frame: the label active at each ``frame_time``.
+    """Class id per frame (int64): the label active at each ``frame_time``.
 
     Intervals are half-open, so a boundary landing exactly on a center
     belongs to the later interval. Gaps and time beyond the annotation
-    are no-chord.
+    are no-chord: index -1 reads the class appended after the intervals'.
     """
-    return [to_class(annotation.label_at(frame_time(t)), vocab) for t in range(n_frames)]
+    classes = np.array([to_class(label, vocab) for _, _, label in annotation.intervals]
+                       + [to_class(ChordLabel.no_chord(), vocab)], np.int64)
+    return classes[annotation.indices_at(frame_time(np.arange(n_frames)))]

@@ -92,7 +92,7 @@ def _read_clip(path):
 
 def _load_lab(path):
     try:
-        return chords.parse_lab(Path(path).read_text(encoding="utf-8"))
+        return chords.parse_lab(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except (chords.ParseError, ValueError) as exc:

@@ -5,10 +5,11 @@ increasing strictness: root only, root plus third, the triad, the triad
 plus seventh, the full quality template, the major/minor reduction, and
 a shared-pitch-class rule (at least three common tones). Every boundary
 of either annotation inside the reference span cuts it into segments,
-and each segment reads the label each side holds there (no-chord where
-a side has no interval). Each segment scores MATCH, MISMATCH, or
-SKIPPED; a comparator's recall is matched duration over non-skipped
-duration, both summed over the segments in time order.
+and each segment reads the label each side holds there through
+``Annotation.indices_at`` (no-chord where a side has no interval). Each
+segment scores MATCH, MISMATCH, or SKIPPED; a comparator's recall is
+matched duration over non-skipped duration, both summed over the
+segments in time order.
 
 Each distinct label is reduced once per process (a bounded cache) to a
 reference code and an estimate code per comparator, all ints. Under the
@@ -76,8 +77,6 @@ _KEY_CODES = {}
 _TONES = np.zeros(1, np.uint8)
 for _ in range(15):
     _TONES = np.concatenate((_TONES, _TONES + 1))
-# An interval before every time, so a lookup that finds no interval lands on it.
-_BEFORE_ALL = (-math.inf, -math.inf, chords.ChordLabel.no_chord())
 
 
 def _coded(ref, est):
@@ -138,23 +137,6 @@ def compare(kind, ref, est):
     return MATCH if ref_code == est_code else MISMATCH
 
 
-def _interval_arrays(annotation, ids):
-    """(starts, ends, label ids) of ``_BEFORE_ALL`` and the annotation's intervals.
-
-    ``ids`` numbers the distinct labels of one scored pair; no-chord is 0.
-    """
-    starts, ends, labels = zip(_BEFORE_ALL, *annotation.intervals)
-    return (np.fromiter(starts, float, len(starts)), np.fromiter(ends, float, len(ends)),
-            np.array([ids.setdefault(label, len(ids)) for label in labels]))
-
-
-def _ids_at(times, starts, ends, label_ids):
-    """Label id at each of ``times``: the last interval starting at or
-    before it, if it has not ended, else 0 (no-chord)."""
-    i = starts.searchsorted(times, "right") - 1
-    return np.where(times < ends[i], label_ids[i], 0)
-
-
 def _recalls(ref, est):
     """Per comparator: (matched / non-skipped duration or None, non-skipped duration).
 
@@ -166,18 +148,22 @@ def _recalls(ref, est):
     """
     if not ref.intervals:
         raise ValueError("empty reference annotation")
-    ids = {_BEFORE_ALL[2]: 0}
-    ref_arrays, est_arrays = _interval_arrays(ref, ids), _interval_arrays(est, ids)
-    bounds = np.concatenate(ref_arrays[:2] + est_arrays[:2])
+    bounds = np.concatenate((ref.starts, ref.ends, est.starts, est.ends))
     # Boundaries outside the span clip onto its ends; sorting puts copies side by side.
-    bounds = np.sort(np.clip(bounds, ref.intervals[0][0], ref.intervals[-1][1]))
+    bounds = np.sort(np.clip(bounds, ref.starts[0], ref.ends[-1]))
     lengths = np.diff(bounds)
     cut = lengths > 0.0
     times, durations = bounds[:-1][cut], lengths[cut]
+    # Per side, the pair's id of each interval's label, then no-chord's for index -1.
+    ids = {}
+    ref_ids, est_ids = (
+        np.array([ids.setdefault(label, len(ids)) for _, _, label in side.intervals]
+                 + [ids.setdefault(chords.ChordLabel.no_chord(), len(ids))])
+        for side in (ref, est))
     # One row per comparator, one column per segment.
     codes = np.array([_codes(label) for label in ids]).T
-    ref_codes = codes[:, 0, _ids_at(times, *ref_arrays)]
-    est_codes = codes[:, 1, _ids_at(times, *est_arrays)]
+    ref_codes = codes[:, 0, ref_ids[ref.indices_at(times)]]
+    est_codes = codes[:, 1, est_ids[est.indices_at(times)]]
     hits = ref_codes == est_codes
     mirex = ref_codes[_MIREX_COLUMN] & est_codes[_MIREX_COLUMN]
     hits[_MIREX_COLUMN] = _TONES[mirex] >= 3
@@ -252,19 +238,17 @@ def frames_to_annotation(classes, vocab):
     Frame t owns [frame_time(t), frame_time(t + 1)), so ``framewise_targets``
     reads ``classes`` back. Runs of one class fuse; SKIP becomes unknown.
     """
-    if len(classes) == 0:
+    classes = np.asarray(classes)
+    if classes.size == 0:
         raise ValueError("empty class sequence")
-    intervals = []
-    run_start = 0
-    for t in range(1, len(classes) + 1):
-        if t < len(classes) and classes[t] == classes[run_start]:
-            continue
-        class_id = classes[run_start]
-        label = (chords.ChordLabel.unknown() if class_id == chords.SKIP
-                 else chords.parse_chord(chords.class_to_label(class_id, vocab)))
-        intervals.append((chords.frame_time(run_start), chords.frame_time(t), label))
-        run_start = t
-    return chords.Annotation(tuple(intervals))
+    # Frame indices where a run starts, then the end of the last run.
+    changes = np.flatnonzero(classes[1:] != classes[:-1]) + 1
+    bounds = np.concatenate(([0], changes, [classes.size]))
+    times = chords.frame_time(bounds).tolist()
+    labels = [chords.ChordLabel.unknown() if class_id == chords.SKIP
+              else chords.parse_chord(chords.class_to_label(class_id, vocab))
+              for class_id in classes[bounds[:-1]].tolist()]
+    return chords.Annotation(tuple(zip(times, times[1:], labels)))
 
 
 def aggregate(results):

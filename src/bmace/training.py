@@ -204,8 +204,7 @@ def clip_segments(example, vocab, stats):
     they are invisible to the loss and the accuracy counters.
     """
     normalized = ft.znormalize(example.features, stats)
-    targets = np.asarray(chords.framewise_targets(example.annotation, normalized.frames, vocab),
-                         dtype=np.int64)
+    targets = chords.framewise_targets(example.annotation, normalized.frames, vocab)
     return [(piece.astype(np.float32), labels)
             for piece, labels in zip(ft.windows(normalized.values),
                                      ft.windows(targets, fill=SKIP))]

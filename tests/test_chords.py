@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bmace.chords as ch
@@ -180,9 +181,11 @@ class TestChordLabelHash:
                                            ("G:7", "G:(1,3,5,b7)"), ("N",), ("X",)])
     def test_equal_spellings_share_a_hash_and_a_dict_slot(self, spellings):
         labels = [parse_chord(text) for text in spellings]
+        # parse_chord shares one object per label; a label built directly is another.
+        assert len({id(label) for label in labels}) == 1
         labels.append(ChordLabel(labels[0].root, labels[0].quality, labels[0].intervals,
                                  labels[0].bass, labels[0].special))
-        assert len({id(label) for label in labels}) == len(labels)
+        assert labels[-1] is not labels[0]
         assert len({hash(label) for label in labels}) == 1
         slots = {}
         for label in labels:
@@ -355,12 +358,63 @@ class TestParseLab:
             (1.0, 2.0, parse_chord("A:min")),
             (3.0, 4.0, parse_chord("G:7")),
         ))
-        want = next((i for i, (s, e, _) in enumerate(ann.intervals) if s <= t < e), None)
-        assert ann.index_at(t) == want
+        want = next((i for i, (s, e, _) in enumerate(ann.intervals) if s <= t < e), -1)
+        assert ann.indices_at(t) == want
 
     @pytest.mark.parametrize("t", [-1.0, 0.0, 5.0])
     def test_empty_annotation_is_no_chord(self, t):
         assert Annotation(()).label_at(t).is_no_chord
+
+    def test_gaps_share_one_no_chord_label(self):
+        ann = parse_lab("1 2 C:maj\n3 4 C\n5 6 C:(1,3,5)")
+        gaps = [label for _, _, label in ann.intervals if label.is_no_chord]
+        majors = [label for _, _, label in ann.intervals if not label.is_no_chord]
+        assert len(gaps) == 3 and all(label is ChordLabel.no_chord() for label in gaps)
+        assert len(majors) == 3 and all(label is majors[0] for label in majors)
+
+
+def scan_indices(annotation, times):
+    """Reference lookup: per time, the first interval holding it, else -1."""
+    return [next((i for i, (s, e, _) in enumerate(annotation.intervals) if s <= t < e), -1)
+            for t in times]
+
+
+class TestIndicesAt:
+    # A leading gap [0, 0.5), a shared boundary at 1.0, a gap [2.0, 3.0), last end 4.0.
+    ANN = Annotation((
+        (0.5, 1.0, parse_chord("C:maj")),
+        (1.0, 2.0, parse_chord("A:min")),
+        (3.0, 4.0, parse_chord("G:7")),
+    ))
+
+    def test_exact_bounds_gaps_and_both_tails_match_a_linear_scan(self):
+        bounds = [t for start, end, _ in self.ANN.intervals for t in (start, end)]
+        times = np.array(sorted({-1.0, 0.0, 0.25, 2.5, 4.0, 4.5, 1e9, *bounds,
+                                 *np.nextafter(bounds, -np.inf), *np.nextafter(bounds, np.inf)}))
+        got = self.ANN.indices_at(times)
+        assert got.shape == times.shape
+        assert got.tolist() == scan_indices(self.ANN, times)
+
+    def test_random_times_match_a_linear_scan(self):
+        times = np.random.default_rng(3).uniform(-1.0, 5.0, 500)
+        assert self.ANN.indices_at(times).tolist() == scan_indices(self.ANN, times)
+
+    @pytest.mark.parametrize("t, want", [(0.75, 0), (1.0, 1), (2.0, -1), (4.0, -1)])
+    def test_a_scalar_time_gives_a_scalar_index(self, t, want):
+        got = self.ANN.indices_at(t)
+        assert np.ndim(got) == 0 and got == want
+
+    def test_an_empty_annotation_holds_no_time(self):
+        empty = Annotation(())
+        assert empty.indices_at(np.array([-1.0, 0.0, 2.0])).tolist() == [-1, -1, -1]
+        assert empty.indices_at(np.array([])).shape == (0,)
+        assert empty.indices_at(0.0) == -1
+
+    def test_bounds_are_read_only_float64_arrays(self):
+        for times, want in ((self.ANN.starts, [0.5, 1.0, 3.0]), (self.ANN.ends, [1.0, 2.0, 4.0])):
+            assert times.dtype == np.float64 and times.tolist() == want
+            with pytest.raises(ValueError):
+                times[0] = 0.0
 
 
 class TestVocabularies:
@@ -480,7 +534,7 @@ class TestFramewiseTargets:
     def test_single_interval_fills_all_frames(self):
         ann = parse_lab("0 10 C:maj")
         targets = framewise_targets(ann, 108, MAJMIN_25)
-        assert targets == [0] * 108
+        assert targets.tolist() == [0] * 108
 
     def test_boundary_on_frame_center_goes_to_later(self):
         boundary = 3 * self.HOP / self.SR
@@ -492,8 +546,8 @@ class TestFramewiseTargets:
     def test_equal_halves_split_within_one_frame(self):
         ann = parse_lab("0 5 C:maj\n5 10 G:maj")
         targets = framewise_targets(ann, 108, MAJMIN_25)
-        first = targets.count(0)
-        second = targets.count(to_class(parse_chord("G:maj"), MAJMIN_25))
+        first = np.count_nonzero(targets == 0)
+        second = np.count_nonzero(targets == to_class(parse_chord("G:maj"), MAJMIN_25))
         assert first + second == 108
         assert abs(first - second) <= 2
 
@@ -515,3 +569,25 @@ class TestFramewiseTargets:
         targets = framewise_targets(ann, 10, MAJMIN_25)
         assert targets[0] == SKIP
         assert SKIP in targets
+
+    def test_bounds_on_frame_centers_and_a_leading_gap_match_a_linear_scan(self):
+        # No interval before frame 3; every boundary lands on a frame center.
+        at = ch.frame_time
+        ann = Annotation((
+            (at(3), at(10), parse_chord("C:maj")),
+            (at(10), at(11), parse_chord("A:min7")),
+            (at(11), at(20), parse_chord("X")),
+            (at(25), at(40), parse_chord("F:sus2")),
+            (at(40), at(41), parse_chord("E:min")),
+        ))
+        for vocab in (MAJMIN_25, LARGE_170):
+            targets = framewise_targets(ann, 50, vocab)
+            assert targets.dtype == np.int64
+            assert targets.tolist() == [to_class(scan_label_at(ann, at(t)), vocab)
+                                        for t in range(50)]
+            assert targets[:3].tolist() == [vocab.n_chords] * 3
+            assert targets[10] == to_class(parse_chord("A:min7"), vocab)
+
+    def test_no_frames_give_an_empty_array(self):
+        targets = framewise_targets(parse_lab("0 1 C:maj"), 0, LARGE_170)
+        assert targets.dtype == np.int64 and targets.shape == (0,)

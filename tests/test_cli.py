@@ -216,6 +216,15 @@ class TestTrainCommand:
         assert out == ""
         assert not (tmp_path / "m.json").exists()
 
+    def test_audio_training_reads_a_lab_with_a_byte_order_mark(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        lab = audio / "song0.lab"
+        lab.write_bytes(b"\xef\xbb\xbf" + lab.read_bytes())
+        code, _, err = run_cli(capsys, *self.audio_train_args(audio, tmp_path / "m"))
+        assert code == cli.EXIT_OK, err
+        assert (tmp_path / "m.bin").is_file()
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
                                                        rate):
@@ -256,6 +265,20 @@ class TestEvaluateCommand:
         report = json.loads(out)
         for kind in mt.COMPARATORS:
             assert report["aggregate"]["weighted"][kind] == 1.0
+
+    def test_labs_with_a_byte_order_mark_score_as_without_one(self, capsys, tmp_path):
+        reports = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            corpus = tmp_path / name
+            for side, text in (("ref", b"0 1.5 C:maj\n1.5 3 C:sus4\n"), ("est", b"0 3 C:maj7\n")):
+                (corpus / side).mkdir(parents=True)
+                (corpus / side / "s1.lab").write_bytes(bom + text)
+            code, out, err = run_cli(capsys, "evaluate", "--ref", str(corpus / "ref"),
+                                     "--est", str(corpus / "est"))
+            assert code == cli.EXIT_OK, err
+            reports.append(json.loads(out))
+        assert reports[1] == reports[0]
+        assert reports[0]["songs"]["s1"]["root"] == 1.0
 
     def test_failed_report_write_keeps_earlier_report(self, capsys, tmp_path, monkeypatch):
         ref = tmp_path / "ref"

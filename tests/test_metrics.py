@@ -20,6 +20,8 @@ from bmace.chords import (
     Annotation,
     ChordLabel,
     class_to_label,
+    frame_time,
+    framewise_targets,
     parse_chord,
     parse_lab,
     reduce_quality,
@@ -549,20 +551,18 @@ class TestFramesToAnnotation:
         assert ann.intervals[0][2].is_unknown
 
     def test_round_trip_with_framewise_targets(self):
-        from bmace.chords import framewise_targets
         classes = [0, 0, 0, 5, 5, 24, 24, 3, 3, 3]
         ann = frames_to_annotation(classes, MAJMIN_25)
-        assert framewise_targets(ann, len(classes), MAJMIN_25) == classes
+        assert framewise_targets(ann, len(classes), MAJMIN_25).tolist() == classes
 
     def test_round_trip_for_every_run_start(self):
         # Both directions place frame t at chords.frame_time(t), so a
         # boundary at any frame reads back on that frame.
-        from bmace.chords import framewise_targets
         wrong = []
         for k in range(1, 3000):
             classes = [0] * k + [5]
             ann = frames_to_annotation(classes, MAJMIN_25)
-            if framewise_targets(ann, k + 1, MAJMIN_25) != classes:
+            if framewise_targets(ann, k + 1, MAJMIN_25).tolist() != classes:
                 wrong.append(k)
         assert wrong == []
 
@@ -575,6 +575,22 @@ class TestFramesToAnnotation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             frames_to_annotation([], MAJMIN_25)
+
+    def test_one_frame_is_one_interval(self):
+        ann = frames_to_annotation(np.array([7]), MAJMIN_25)
+        assert ann.intervals == ((0.0, frame_time(1), parse_chord(class_to_label(7, MAJMIN_25))),)
+
+    def test_all_skip_frames_are_one_unknown_interval(self):
+        ann = frames_to_annotation([SKIP] * 9, MAJMIN_25)
+        assert ann.intervals == ((0.0, frame_time(9), ChordLabel.unknown()),)
+
+    def test_classes_alternating_every_frame_give_one_interval_per_frame(self):
+        classes = np.array([3, 168] * 20)
+        ann = frames_to_annotation(classes, LARGE_170)
+        want = [(frame_time(t), frame_time(t + 1), parse_chord(class_to_label(c, LARGE_170)))
+                for t, c in enumerate(classes.tolist())]
+        assert list(ann.intervals) == want
+        assert framewise_targets(ann, len(classes), LARGE_170).tolist() == classes.tolist()
 
 
 class TestAggregate:
