@@ -282,10 +282,6 @@ class Annotation:
         i = self.starts.searchsorted(times, "right") - 1
         return np.where((i >= 0) & (times < self.ends[i]), i, -1)
 
-    def label_at(self, t):
-        """Label active at time ``t``; no-chord outside every interval."""
-        return self.intervals[i][2] if (i := self.indices_at(t)) >= 0 else ChordLabel.no_chord()
-
 
 def parse_lab(text):
     """Parse annotation text: one ``start end label`` line per interval.

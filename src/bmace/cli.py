@@ -85,7 +85,7 @@ def _read_clip(path):
         clip = ft.read_wav(path)
     except (ft.WavFormatError, ft.UnsupportedRateError, OSError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if clip.samples.size == 0:
+    if clip.n_samples == 0:
         raise CliError(f"{path} holds no audio samples")
     return clip
 
@@ -108,7 +108,10 @@ def _load_reference(path):
 
 
 def _audio_lab_pairs(audio_dir):
-    """(stem, log-amplitude CQT, sibling reference ``.lab``) per WAV of ``audio_dir``."""
+    """(stem, clip, sibling reference ``.lab``) per WAV of ``audio_dir``, in stem order.
+
+    A clip holds its WAV's bytes; ``cqt`` decodes them block by block.
+    """
     audio_dir = Path(audio_dir)
     wavs = sorted(audio_dir.glob("*.wav"))
     if not wavs:
@@ -118,7 +121,7 @@ def _audio_lab_pairs(audio_dir):
         if not lab.is_file():
             raise CliError(f"missing annotation for song id {wav.stem!r}: {lab}")
         annotation = _load_reference(lab)  # first: a bad .lab costs no decode or CQT
-        yield wav.stem, ft.log_amplitude(ft.cqt(_read_clip(wav))), annotation
+        yield wav.stem, _read_clip(wav), annotation
 
 
 # --------------------------------------------------------------------------
@@ -138,8 +141,8 @@ def cmd_train(args):
                                    max_epochs=args.epochs,
                                    patience=args.patience, seed=args.seed)
         if args.audio:
-            corpus = [tr.ClipExample(stem, feats, ann)
-                      for stem, feats, ann in _audio_lab_pairs(args.audio)]
+            corpus = [tr.ClipExample(stem, ft.log_amplitude(ft.cqt(clip)), ann)
+                      for stem, clip, ann in _audio_lab_pairs(args.audio)]
         else:
             corpus = tr.make_synthetic_corpus(args.synthetic, vocab, args.seed,
                                               duration_s=args.duration)
@@ -211,7 +214,11 @@ def _lab_pairs(ref_dir, est_dir):
 
 
 def _model_pairs(ckpt_path, audio_dir):
-    """(stem, reference, model estimate) per WAV of ``audio_dir``, in stem order."""
+    """(stem, reference, model estimate) per WAV of ``audio_dir``, in stem order.
+
+    Prints one stderr line per song: its audio seconds and the wall
+    seconds of its CQT (decode included) and of the model pass.
+    """
     try:
         cfg, params, meta = md.load_checkpoint(ckpt_path)
     except (OSError, tensorio.BlobFormatError, KeyError, ValueError) as exc:
@@ -232,8 +239,14 @@ def _model_pairs(ckpt_path, audio_dir):
     if vocab.n_classes != cfg.n_classes:
         raise CliError(f"checkpoint {ckpt_path}: vocab {vocab.name!r} has {vocab.n_classes} "
                        f"classes but the model head has {cfg.n_classes}")
-    for stem, feats, ref in _audio_lab_pairs(audio_dir):
-        yield stem, ref, tr.predict_annotation(params, cfg, stats, feats, vocab)
+    for stem, clip, ref in _audio_lab_pairs(audio_dir):
+        started = time.perf_counter()
+        feats = ft.log_amplitude(ft.cqt(clip))
+        transformed = time.perf_counter()
+        est = tr.predict_annotation(params, cfg, stats, feats, vocab)
+        print(f"{stem}: {clip.duration:.2f} s of audio, CQT {transformed - started:.3f} s, "
+              f"model {time.perf_counter() - transformed:.3f} s", file=sys.stderr)
+        yield stem, ref, est
 
 
 def cmd_evaluate(args):

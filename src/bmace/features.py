@@ -7,18 +7,27 @@ cuts clips into 10-second windows with 5-second overlap (``windows``);
 inference does not window, because the model's scan is linear in length
 and runs over a whole song in one pass.
 
+A clip keeps its samples as its source stores them: ``read_wav`` keeps
+the data chunk (PCM16 or float32, plain or WAVE_FORMAT_EXTENSIBLE), and
+``AudioClip.decode`` turns any range of it into float64 on request. So
+no whole-song float copy exists between the file and the features.
+
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
 in one real ``[Re | Im]`` kernel matrix. Frames start one hop apart, so
-the padded signal is read as a view of hop rows, and the kernel matrix
-is stored cut into hop-length pieces laid side by side plus a shorter
+the signal is read as a view of hop rows, and the kernel matrix is
+stored cut into hop-length pieces laid side by side plus a shorter
 tail. An octave is then one wide product of the hop rows with the
 pieces, summed along the diagonal of pieces, plus the tail rows' product
-with the tail; no frame's window is ever copied. Each (octave, block of
-frames) is one job on a thread pool with one worker per available CPU,
-and the output's bytes do not depend on the worker count. Kernels
-depend on the clip length only below the longest kernel (~1.04 s), so
-one plan serves every longer clip.
+with the tail; no frame's window is ever copied. The song is walked in
+time blocks of frames: a block decodes the one span its longest windows
+read, builds the reflection of the signal only where that span crosses
+an end of the song, and runs each octave's product over it as one job
+on a thread pool with one worker per available CPU. So decoding and
+transforming hold a block's samples, not the song's, and the output's
+bytes do not depend on the worker count. Kernels depend on the clip
+length only below the longest kernel (~1.04 s), so one plan serves
+every longer clip.
 
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
@@ -66,30 +75,42 @@ class UnsupportedRateError(ValueError):
     """Sample rate other than the canonical 22,050 Hz."""
 
 
-@dataclass(frozen=True)
+# WAVE_FORMAT_EXTENSIBLE's tag. Its SubFormat GUID is the plain format tag
+# (1 PCM, 3 IEEE float) in two little-endian bytes, then this fixed tail.
+_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
 class AudioClip:
-    """Mono audio: float samples in [-1, 1] at SAMPLE_RATE."""
+    """Mono audio at SAMPLE_RATE, kept as its source stores it.
 
-    samples: np.ndarray
+    The source is either a 1-D float array, of which ``AudioClip(samples)``
+    keeps a read-only copy, or a WAV file's data chunk as ``read_wav``
+    finds it: PCM16 or float32, one row per sample and one column per
+    channel. ``decode`` turns a range of the source into float64 samples,
+    so a clip read from a file never holds a float copy of the song.
+    """
 
-    def __post_init__(self):
-        self._keep(np.array(self.samples, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, arr):
-        # Internal: keep a fresh float64 array the caller owns, without copying.
-        clip = object.__new__(cls)
-        clip._keep(arr)
-        return clip
-
-    def _keep(self, arr):
+    def __init__(self, samples):
+        arr = np.array(samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         # NaN propagates through min and max, so no full-size temporary is needed.
         if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        self._source = arr
+
+    @classmethod
+    def _of_chunk(cls, frames):
+        # Internal: a (samples, channels) PCM16 or float32 view of a data chunk.
+        clip = object.__new__(cls)
+        clip._source = frames
+        return clip
+
+    @property
+    def n_samples(self):
+        return len(self._source)
 
     @property
     def sample_rate(self) -> int:
@@ -98,7 +119,33 @@ class AudioClip:
 
     @property
     def duration(self):
-        return self.samples.size / self.sample_rate
+        return self.n_samples / self.sample_rate
+
+    @property
+    def samples(self):
+        """The whole clip as read-only float64: a fresh decode for a WAV clip."""
+        x = self.decode(0, self.n_samples)
+        x.flags.writeable = False
+        return x
+
+    def decode(self, start, stop):
+        """Samples ``start`` to ``stop - 1`` (0 <= start <= stop <= n_samples) as float64.
+
+        A float array's samples come as they are, as a view. A data chunk's
+        come by one rule, whatever the range: PCM16 divided by 32767.0 or
+        float32 widened, channels averaged, clipped to [-1, 1]. Each sample
+        depends on its own row only, so a range decodes to the same bytes as
+        the same samples of a whole-clip decode.
+        """
+        raw = self._source[start:stop]
+        if raw.ndim == 1:
+            return raw
+        if raw.dtype.kind == "i":
+            x = np.divide(raw, 32767.0, out=np.empty(raw.shape))
+        else:
+            x = raw.astype(np.float64)
+        x = x.mean(axis=1) if x.shape[1] > 1 else x.ravel()
+        return np.clip(x, -1.0, 1.0, out=x)
 
 
 @dataclass(frozen=True)
@@ -144,10 +191,15 @@ class NormStats:
 
 
 def read_wav(path):
-    """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo).
+    """Read a RIFF/WAVE file: PCM16 or float32, any channel count.
 
-    Stereo is averaged to mono. Rates other than 22,050 Hz are rejected;
-    resampling is out of scope.
+    The format tag is 1 (PCM), 3 (IEEE float) or WAVE_FORMAT_EXTENSIBLE
+    with the PCM or IEEE float SubFormat GUID. Rates other than 22,050 Hz
+    are rejected; resampling is out of scope. The clip keeps the data
+    chunk's samples as the file stores them and decodes them on request
+    (``AudioClip.decode``), so reading holds the file's bytes and no float
+    copy. A float32 file is decoded once, a block at a time, to reject a
+    sample that does not decode to a finite value.
     """
     data = memoryview(Path(path).read_bytes())  # chunk bodies are views, not copies
     if len(data) < 12:
@@ -169,7 +221,7 @@ def read_wav(path):
         if chunk_id == b"fmt ":
             if size < 16:
                 raise WavFormatError("fmt chunk too short", pos)
-            fmt = struct.unpack_from("<HHIIHH", body, 0) + (pos,)
+            fmt = (body, pos)
         elif chunk_id == b"data":
             raw = (body, pos)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -178,8 +230,16 @@ def read_wav(path):
         raise WavFormatError("missing fmt chunk", len(data))
     if raw is None:
         raise WavFormatError("missing data chunk", len(data))
-    audio_format, n_channels, rate, _, _, bits, fmt_pos = fmt
-    body, _ = raw
+    fmt_body, fmt_pos = fmt
+    body, data_pos = raw
+    audio_format, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_body, 0)
+    if audio_format == _EXTENSIBLE:
+        if len(fmt_body) < 40:
+            raise WavFormatError("extensible fmt chunk too short", fmt_pos)
+        guid = bytes(fmt_body[24:40])
+        audio_format = int.from_bytes(guid[:2], "little")
+        if guid[2:] != _GUID_TAIL or audio_format not in (1, 3):
+            raise WavFormatError(f"unsupported extensible SubFormat {guid.hex()}", fmt_pos + 32)
     if n_channels < 1:
         raise WavFormatError("zero channels", fmt_pos)
     if audio_format == 1 and bits != 16:
@@ -188,19 +248,22 @@ def read_wav(path):
         raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
     if audio_format not in (1, 3):
         raise WavFormatError(f"unsupported audio format {audio_format}", fmt_pos)
-    if rate != SAMPLE_RATE:  # checked before the decode, which costs 8 bytes a sample
+    if rate != SAMPLE_RATE:  # checked before the float32 pass reads any sample
         raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
 
-    sample_bytes = bits // 8
-    count = (len(body) - len(body) % (sample_bytes * n_channels)) // sample_bytes
-    if audio_format == 1:
-        pcm = np.frombuffer(body, dtype="<i2", count=count)
-        x = np.divide(pcm, 32767.0, out=np.empty(pcm.size))
-    else:
-        x = np.frombuffer(body, dtype="<f4", count=count).astype(np.float64)
-    if n_channels > 1:
-        x = x.reshape(-1, n_channels).mean(axis=1)
-    return AudioClip._adopt(np.clip(x, -1.0, 1.0, out=x))
+    row_bytes = bits // 8 * n_channels
+    count = len(body) // row_bytes
+    frames = np.frombuffer(body, dtype="<i2" if audio_format == 1 else "<f4",
+                           count=count * n_channels).reshape(count, n_channels)
+    clip = AudioClip._of_chunk(frames)
+    if audio_format == 3:  # PCM16 always decodes to a finite value
+        step = _CQT_BLOCK * HOP
+        for start in range(0, count, step):
+            bad = np.flatnonzero(~np.isfinite(clip.decode(start, start + step)))
+            if bad.size:
+                offset = data_pos + 8 + (start + int(bad[0])) * row_bytes
+                raise WavFormatError("sample does not decode to a finite value", offset)
+    return clip
 
 
 def write_wav(path, clip):
@@ -221,11 +284,12 @@ def n_frames(n_samples):
 _Q = 1.0 / (2.0 ** (1.0 / BINS_PER_OCTAVE) - 1.0)
 # Longest kernel (bin 0); every kernel is the same for clips this long or longer.
 N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
-# Frames per block of an octave's product, and so per job of ``cqt``. A
-# block multiplies _CQT_BLOCK + full - 1 hop rows by the pieces, so it
-# recomputes the full - 1 rows it shares with the next block (4% at octave
-# 0, where full is 11); its largest product is about 266 * 528 * 8 bytes
-# (1.1 MB) per worker.
+# Frames per time block of ``cqt``, and so per job of each octave. A job
+# multiplies _CQT_BLOCK + full - 1 hop rows by the pieces, so it recomputes
+# the full - 1 rows it shares with the next block (4% at octave 0, where
+# full is 11); its largest product is about 266 * 528 * 8 bytes (1.1 MB)
+# per worker. A block's decoded span is _CQT_BLOCK - 1 hops plus the
+# longest kernel: 545,251 samples, 4.4 MB of float64, at N_MAX.
 _CQT_BLOCK = 256
 
 _PLAN_CACHE = {}
@@ -273,7 +337,7 @@ def _octave_plan(lo, key):
 
 
 def _cqt_plan(n_samples):
-    """Per-octave kernel pieces (``_octave_plan``) and the reflection pad.
+    """Per-octave kernel pieces (``_octave_plan``), octave 0's the longest.
 
     Kernels are clamped to the clip length only below N_MAX, so only the
     N_MAX plan, which serves every longer clip, is cached. Octaves are
@@ -283,12 +347,37 @@ def _cqt_plan(n_samples):
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    octaves = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
-    pad = max(n_oct for _, _, n_oct in octaves) // 2 + 1
-    plan = (octaves, pad)
+    plan = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
     if key == N_MAX:
         _PLAN_CACHE[key] = plan
     return plan
+
+
+def _span(clip, start, stop):
+    """Samples ``start`` to ``stop - 1`` of the clip, reflected about its ends.
+
+    An index outside [0, n) reads the sample ``np.pad(..., mode="reflect")``
+    puts there: the clip mirrored about its first and last samples, and
+    mirrored again for a clip shorter than the reflection, so period
+    2(n - 1). A span inside the clip is one decode; one that crosses an end
+    is joined from that decode and the mirrored edges.
+    """
+    n = clip.n_samples
+    lo, hi = max(start, 0), min(stop, n)
+    if (lo, hi) == (start, stop):
+        return clip.decode(start, stop)
+    period = max(2 * (n - 1), 1)
+
+    def mirrored(edge):
+        if not edge.size:
+            return np.empty(0)
+        i = np.abs(edge) % period
+        i = np.where(i < n, i, period - i)
+        first = i.min()
+        return clip.decode(first, i.max() + 1)[i - first]
+
+    return np.concatenate([mirrored(np.arange(start, lo)), clip.decode(lo, hi),
+                           mirrored(np.arange(hi, stop))])
 
 
 def available_cpus():
@@ -328,44 +417,52 @@ def cqt(clip):
     min(ceil(Q*sr/f_b), len) under a Hann window, normalized by the
     window length. The signal is reflection-padded so every frame
     center has a full window. Frames start one hop apart, so for each
-    octave the padded signal, read from frame 0's window start, is a
-    view of HOP-sample rows, and frame t's window is rows t to
-    t + full - 1 followed by the first len(tail) samples of row t + full.
-    One product ``rows @ pieces`` then gives every row times every
-    piece; frame t sums row t + p's product with piece p over p, and
-    adds its tail row times ``tail``. A bin's magnitude is the hypot of
-    its real and imaginary columns.
+    octave the signal, read from frame t's window start, is a view of
+    HOP-sample rows, and frame t's window is rows t to t + full - 1
+    followed by the first len(tail) samples of row t + full. One product
+    ``rows @ pieces`` then gives every row times every piece; frame t
+    sums row t + p's product with piece p over p, and adds its tail row
+    times ``tail``. A bin's magnitude is the hypot of its real and
+    imaginary columns.
 
-    Each octave's frames are cut into blocks of _CQT_BLOCK, and each
-    (octave, block) is one job on a thread pool with a worker per
-    available CPU; numpy's products release the GIL, so jobs run at
-    once. Every job does the same arithmetic whichever worker runs it,
-    and the blocks depend on the frame count only, so the output's bytes
-    do not depend on the number of workers.
+    The song is walked in time blocks of _CQT_BLOCK frames. A block
+    decodes once the span octave 0's windows cover, which holds every
+    other octave's windows, reflected only where it crosses an end of the
+    clip (``_span``), and submits one job per octave to a thread pool
+    with a worker per available CPU; numpy's products release the GIL, so
+    jobs run at once. A block's jobs run while the next block decodes,
+    so at most two spans are held. Every job does the same arithmetic
+    whichever worker runs it, and the blocks depend on the frame count
+    only, so the output's bytes do not depend on the number of workers.
     """
-    if clip.samples.size < 1:
+    n = clip.n_samples
+    if n < 1:
         raise ValueError("cannot transform an empty clip")
-    x = clip.samples
-    octaves, pad = _cqt_plan(x.size)
-    padded = np.pad(x, pad, mode="reflect")
-    frames = n_frames(x.size)
+    octaves = _cqt_plan(n)
+    reach = octaves[0][2]
+    frames = n_frames(n)
     out = np.empty((frames, N_BINS))
     with _cqt_pool() as pool:
-        jobs = []
-        for lo, (pieces, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
-            full = pieces.shape[1] // (2 * BINS_PER_OCTAVE)
-            start = pad - n_oct // 2
-            n_rows = (padded.size - start) // HOP
-            rows = padded[start:start + n_rows * HOP].reshape(n_rows, HOP)
-            # tails[t]: the last len(tail) samples of frame t's window.
-            tails = np.lib.stride_tricks.sliding_window_view(
-                padded, len(tail))[start + full * HOP::HOP]
-            for t in range(0, frames, _CQT_BLOCK):
-                f = min(_CQT_BLOCK, frames - t)
+        running = []
+        for t in range(0, frames, _CQT_BLOCK):
+            f = min(_CQT_BLOCK, frames - t)
+            first = t * HOP - reach // 2  # frame t's octave-0 window start
+            span = _span(clip, first, first + (f - 1) * HOP + reach)
+            jobs = []
+            for lo, (pieces, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
+                full = pieces.shape[1] // (2 * BINS_PER_OCTAVE)
+                start = reach // 2 - n_oct // 2  # frame t's window start in this octave
+                rows = span[start:start + (f + full - 1) * HOP].reshape(-1, HOP)
+                # tails[i]: the last len(tail) samples of frame t + i's window.
+                tails = np.lib.stride_tricks.sliding_window_view(
+                    span[start + full * HOP:], len(tail))[::HOP][:f]
                 jobs.append(pool.submit(
-                    _cqt_block, rows[t:t + f + full - 1], tails[t:t + f], pieces, tail,
+                    _cqt_block, rows, tails, pieces, tail,
                     out[t:t + f, lo:lo + BINS_PER_OCTAVE]))
-        for job in jobs:
+            for job in running:
+                job.result()
+            running = jobs
+        for job in running:
             job.result()
     return FeatureMatrix(out)
 

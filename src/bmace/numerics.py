@@ -250,13 +250,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.asarray(x.data.sum(), dtype=x.dtype))
-    shape = x.shape
-    record_op(out, (x,), lambda g: (np.broadcast_to(g, shape).astype(g.dtype, copy=True),))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Linear algebra
 

@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import struct
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,18 @@ def make_audio_corpus(directory, n_songs, seed=0, duration_s=2.0):
         clip = ft.synth_chord_clip(progression, seed=seed + 100 + i)
         ft.write_wav(directory / f"song{i}.wav", clip)
         write_lab(directory / f"song{i}.lab", progression)
+
+
+def rewrite_as_extensible(path, guid_code=1):
+    """Rewrite a mono PCM16 WAV as WAVE_FORMAT_EXTENSIBLE with the same samples."""
+    with wave.open(str(path), "rb") as w:
+        frames = w.readframes(w.getnframes())
+    guid = struct.pack("<H", guid_code) + bytes.fromhex("000000001000800000aa00389b71")
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, ft.SAMPLE_RATE, 2 * ft.SAMPLE_RATE, 2, 16,
+                      22, 16, 0) + guid
+    payload = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+               + b"data" + struct.pack("<I", len(frames)) + frames)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(payload)) + payload)
 
 
 def fail_on(monkeypatch, target):
@@ -194,6 +209,51 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, *self.audio_train_args(audio, tmp_path / "m"))
         assert code == cli.EXIT_USAGE
         assert "song1.wav" in err
+
+    def test_per_song_timings_go_to_stderr_only(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3, seed=6)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        reports = []
+        for run in range(2):
+            report = tmp_path / f"report{run}.json"
+            code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                     "--audio", str(audio), "--out", str(report))
+            assert code == cli.EXIT_OK
+            lines = err.splitlines()
+            assert [line.split(":")[0] for line in lines] == ["song0", "song1", "song2"]
+            for line in lines:
+                assert re.fullmatch(r"song\d: 2\.00 s of audio, CQT \d+\.\d{3} s, "
+                                    r"model \d+\.\d{3} s", line), line
+            assert report.read_text(encoding="utf-8") == out
+            reports.append(report.read_bytes())
+        assert reports[1] == reports[0]
+
+    def test_extensible_wavs_score_as_plain_ones(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2, seed=8)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        args = ["evaluate", "--model", str(ckpt), "--audio", str(audio)]
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == cli.EXIT_OK
+        for wav in audio.glob("*.wav"):
+            rewrite_as_extensible(wav)
+        code, extensible, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_OK, err
+        assert extensible == plain
+
+    def test_unknown_extensible_subformat_names_the_file(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        rewrite_as_extensible(audio / "song0.wav", guid_code=2)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {audio / 'song0.wav'}: unsupported "
+                              "extensible SubFormat 0200")
+        assert err.endswith("(byte offset 44)\n")
 
     def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
         audio = tmp_path / "audio"
@@ -361,6 +421,51 @@ class TestEvaluateCommand:
         assert score is None or 0.0 <= score <= 1.0
         assert (tmp_path / "report.json").is_file()
         assert (tmp_path / "report.manifest.json").is_file()
+
+    def test_per_song_timings_go_to_stderr_only(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3, seed=6)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        reports = []
+        for run in range(2):
+            report = tmp_path / f"report{run}.json"
+            code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                     "--audio", str(audio), "--out", str(report))
+            assert code == cli.EXIT_OK
+            lines = err.splitlines()
+            assert [line.split(":")[0] for line in lines] == ["song0", "song1", "song2"]
+            for line in lines:
+                assert re.fullmatch(r"song\d: 2\.00 s of audio, CQT \d+\.\d{3} s, "
+                                    r"model \d+\.\d{3} s", line), line
+            assert report.read_text(encoding="utf-8") == out
+            reports.append(report.read_bytes())
+        assert reports[1] == reports[0]
+
+    def test_extensible_wavs_score_as_plain_ones(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2, seed=8)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        args = ["evaluate", "--model", str(ckpt), "--audio", str(audio)]
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == cli.EXIT_OK
+        for wav in audio.glob("*.wav"):
+            rewrite_as_extensible(wav)
+        code, extensible, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_OK, err
+        assert extensible == plain
+
+    def test_unknown_extensible_subformat_names_the_file(self, capsys, tmp_path):
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        rewrite_as_extensible(audio / "song0.wav", guid_code=2)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {audio / 'song0.wav'}: unsupported "
+                              "extensible SubFormat 0200")
+        assert err.endswith("(byte offset 44)\n")
 
     def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
         audio = tmp_path / "audio"
@@ -550,7 +655,9 @@ class TestEvaluateCommand:
                                  "--audio", str(audio))
         assert code == cli.EXIT_USAGE
         assert out == ""
-        assert err == "error: reference annotation for song id 'song1' holds no intervals\n"
+        timing, error = err.splitlines()
+        assert timing.startswith("song0: 2.00 s of audio, CQT ")
+        assert error == "error: reference annotation for song id 'song1' holds no intervals"
 
 
 def count_calls(monkeypatch, module, name):

@@ -2,11 +2,14 @@
 
 import functools
 import math
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 import wave
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,11 @@ from bmace.features import (
 from bmace.training import make_random_progression
 
 SR = ft.SAMPLE_RATE
+# Samples of _CQT_BLOCK frames' hops: a clip of BLOCK samples is one frame
+# past one time block of ``cqt``.
+BLOCK = ft._CQT_BLOCK * ft.HOP
+# The PCM and IEEE float SubFormat GUIDs of WAVE_FORMAT_EXTENSIBLE end so.
+GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def tone(freq, seconds=10.0, amp=0.5):
@@ -106,6 +114,36 @@ def max_rel_diff(got, ref):
 def pitch_class_bins(pc):
     # Even bins sit on exact semitones; (b // 2) % 12 is the pitch class.
     return [b for b in range(ft.N_BINS) if b % 2 == 0 and (b // 2) % 12 == pc]
+
+
+def riff(fmt, body):
+    """A RIFF/WAVE file of one ``fmt `` chunk and one ``data`` chunk."""
+    payload = (b"WAVE"
+               + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+               + b"data" + struct.pack("<I", len(body)) + body)
+    return b"RIFF" + struct.pack("<I", len(payload)) + payload
+
+
+def plain_fmt(code, channels):
+    """A 16-byte fmt chunk body: PCM16 (code 1) or float32 (code 3)."""
+    bits = 16 if code == 1 else 32
+    width = bits // 8 * channels
+    return struct.pack("<HHIIHH", code, channels, SR, SR * width, width, bits)
+
+
+def extensible_fmt(code, channels, guid=None):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE body whose SubFormat GUID names ``code``."""
+    guid = struct.pack("<H", code) + GUID_TAIL if guid is None else guid
+    bits = 16 if code == 1 else 32
+    return (struct.pack("<H", 0xFFFE) + plain_fmt(code, channels)[2:]
+            + struct.pack("<HHI", 22, bits, 0) + guid)
+
+
+def song_codes(rng, code, n):
+    """Random PCM16 codes or float32 values, some of them past full scale."""
+    if code == 1:
+        return rng.integers(-32768, 32768, n).astype("<i2")
+    return rng.uniform(-1.25, 1.25, n).astype("<f4")
 
 
 class TestWavIO:
@@ -197,6 +235,15 @@ class TestWavIO:
         ref = np.clip(ref, -1.0, 1.0)
         assert read_wav(path).samples.tobytes() == ref.tobytes()
 
+    def test_non_finite_float_sample_names_its_offset(self, tmp_path):
+        values = np.zeros(8, dtype="<f4")
+        values[5] = np.nan  # stereo row 2, right channel
+        path = tmp_path / "nan.wav"
+        path.write_bytes(riff(plain_fmt(3, 2), values.tobytes()))
+        with pytest.raises(WavFormatError, match="finite") as err:
+            read_wav(path)
+        assert err.value.offset == 12 + 8 + 16 + 8 + 2 * 8
+
     def test_audio_clip_validates(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros((2, 2)))
@@ -226,10 +273,9 @@ class TestWavIO:
             ref = ref.reshape(-1, channels).mean(axis=1)
         assert read_wav(path).samples.tobytes() == np.clip(ref, -1.0, 1.0).tobytes()
 
-    def test_decode_holds_one_float_copy_of_the_song(self, tmp_path):
-        # 10 s of PCM16: the file's bytes (2 per sample) plus the kept float64
-        # samples (8 per sample) peak at 1.29 times the samples; a second
-        # float copy would bring that to 2.3 or more.
+    def test_read_holds_no_float_copy_of_the_song(self, tmp_path):
+        # 10 s of PCM16: reading holds the file's bytes (2 per sample) and
+        # nothing more; a float64 decode of the song would add 4 times that.
         path = tmp_path / "song.wav"
         write_wav(path, AudioClip(np.random.default_rng(32).uniform(-0.9, 0.9, 10 * SR)))
         tracemalloc.start()
@@ -238,7 +284,8 @@ class TestWavIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * clip.samples.nbytes
+        assert clip.n_samples == 10 * SR
+        assert peak <= 1.1 * path.stat().st_size
 
     def test_other_rate_is_rejected_before_the_decode(self, tmp_path):
         # 20 s of 44.1-kHz stereo PCM16. Reading the file holds its bytes;
@@ -259,6 +306,98 @@ class TestWavIO:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * path.stat().st_size
+
+
+class TestExtensibleWav:
+    @pytest.mark.parametrize("code", [1, 3])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_decodes_as_the_plain_format_does(self, tmp_path, code, channels):
+        body = song_codes(np.random.default_rng([code, channels]), code, 600 * channels).tobytes()
+        plain, extensible = tmp_path / "plain.wav", tmp_path / "extensible.wav"
+        plain.write_bytes(riff(plain_fmt(code, channels), body))
+        extensible.write_bytes(riff(extensible_fmt(code, channels), body))
+        assert read_wav(extensible).samples.tobytes() == read_wav(plain).samples.tobytes()
+
+    @pytest.mark.parametrize("guid", [
+        struct.pack("<H", 2) + GUID_TAIL,  # ADPCM
+        struct.pack("<H", 1) + bytes(14),  # a PCM code under another tail
+    ], ids=["adpcm", "foreign-tail"])
+    def test_unknown_subformat_names_its_offset(self, tmp_path, guid):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(extensible_fmt(1, 1, guid), bytes(200)))
+        with pytest.raises(WavFormatError, match=f"SubFormat {guid.hex()}") as err:
+            read_wav(path)
+        assert err.value.offset == 12 + 8 + 24  # the GUID, in the fmt chunk at byte 12
+
+    def test_short_extensible_fmt_chunk_names_its_offset(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(riff(extensible_fmt(1, 1)[:18], bytes(200)))
+        with pytest.raises(WavFormatError, match="extensible fmt chunk too short") as err:
+            read_wav(path)
+        assert err.value.offset == 12
+
+    def test_depth_is_checked_after_the_subformat(self, tmp_path):
+        fmt = bytearray(extensible_fmt(1, 1))
+        fmt[14:16] = struct.pack("<H", 24)
+        path = tmp_path / "deep.wav"
+        path.write_bytes(riff(bytes(fmt), bytes(300)))
+        with pytest.raises(WavFormatError, match="unsupported PCM depth 24"):
+            read_wav(path)
+
+
+class TestBlockDecode:
+    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK])
+    @pytest.mark.parametrize("code", [1, 3])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_blocks_match_the_whole_song_decode(self, tmp_path, code, channels, samples):
+        values = song_codes(np.random.default_rng([samples, code, channels]), code,
+                            samples * channels)
+        whole = values / 32767.0 if code == 1 else values.astype(np.float64)
+        whole = np.clip(whole.reshape(-1, channels).mean(axis=1), -1.0, 1.0)
+        path = tmp_path / "song.wav"
+        path.write_bytes(riff(plain_fmt(code, channels), values.tobytes()))
+        clip = read_wav(path)
+        assert clip.decode(0, samples).tobytes() == whole.tobytes()
+        # Each time block's span, reflected where it crosses an end, equals
+        # the same samples of the whole song under np.pad's reflection.
+        reach = ft._cqt_plan(samples)[0][2]
+        padded = np.pad(whole, reach, mode="reflect")
+        frames = n_frames(samples)
+        for t in range(0, frames, ft._CQT_BLOCK):
+            first = t * ft.HOP - reach // 2
+            stop = first + (min(ft._CQT_BLOCK, frames - t) - 1) * ft.HOP + reach
+            span = ft._span(clip, first, stop)
+            assert span.tobytes() == padded[reach + first:reach + stop].tobytes(), t
+        assert cqt(clip).values.tobytes() == cqt(AudioClip(whole)).values.tobytes()
+
+    def test_long_song_decode_and_cqt_peak_under_three_file_sizes(self, tmp_path):
+        # 5 min of mono PCM16, 13.2 MB. A whole-song float64 decode (4 times
+        # the file) and its reflection-padded copy (4 more) peaked at 8.6
+        # times the file; block by block it is about 2.1.
+        script = (
+            "import sys, tracemalloc, wave\n"
+            "import numpy as np\n"
+            "from bmace import features as ft\n"
+            "codes = np.random.default_rng(34).integers(-30000, 30000, 300 * ft.SAMPLE_RATE)\n"
+            "with wave.open(sys.argv[1], 'wb') as w:\n"
+            "    w.setnchannels(1)\n"
+            "    w.setsampwidth(2)\n"
+            "    w.setframerate(ft.SAMPLE_RATE)\n"
+            "    w.writeframes(codes.astype('<i2').tobytes())\n"
+            "del codes\n"
+            "ft._cqt_plan(ft.N_MAX)\n"
+            "tracemalloc.start()\n"
+            "frames = ft.cqt(ft.read_wav(sys.argv[1])).frames\n"
+            "print(frames, tracemalloc.get_traced_memory()[1])\n"
+        )
+        path = tmp_path / "song.wav"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        frames, peak = map(int, out.stdout.split())
+        assert frames == n_frames(300 * SR)
+        assert peak <= 3 * path.stat().st_size, f"peak {peak / path.stat().st_size:.2f}x the file"
 
 
 class TestCqt:
@@ -329,7 +468,7 @@ class TestCqt:
         monkeypatch.setattr(ft, "_PLAN_CACHE", {})
         tracemalloc.start()
         try:
-            octaves, _ = ft._cqt_plan(ft.N_MAX)
+            octaves = ft._cqt_plan(ft.N_MAX)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -405,13 +544,13 @@ class TestCqt:
         finally:
             tracemalloc.stop()
         assert ft._PLAN_CACHE == {}
-        octaves, _ = ft._cqt_plan(max(lengths))
+        octaves = ft._cqt_plan(max(lengths))
         assert held <= sum(pieces.nbytes + tail.nbytes for pieces, tail, _ in octaves)
 
     def test_memory_bounded_on_long_clip(self):
         # A 45-s clip: copying every frame's window per bin peaked at 264 MB.
         clip = AudioClip(np.random.default_rng(4).uniform(-0.5, 0.5, int(45.1 * SR)))
-        ft._cqt_plan(clip.samples.size)
+        ft._cqt_plan(clip.n_samples)
         tracemalloc.start()
         try:
             cqt(clip)

@@ -86,12 +86,18 @@ def reference_compare(kind, ref, est):
     return MATCH if same else MISMATCH
 
 
+def label_at(annotation, t):
+    """Label active at time ``t``; no-chord outside every interval."""
+    i = annotation.indices_at(t)
+    return annotation.intervals[i][2] if i >= 0 else ChordLabel.no_chord()
+
+
 def reference_evaluate(ref, est):
     """Per-kind loop of ``reference_compare`` over label segments, as (score, duration)."""
     span_start, span_end = ref.intervals[0][0], ref.intervals[-1][1]
     order = sorted({t for annotation in (ref, est) for start, end, _ in annotation.intervals
                     for t in (start, end) if span_start <= t <= span_end})
-    segments = [(hi - lo, ref.label_at(0.5 * (lo + hi)), est.label_at(0.5 * (lo + hi)))
+    segments = [(hi - lo, label_at(ref, 0.5 * (lo + hi)), label_at(est, 0.5 * (lo + hi)))
                 for lo, hi in zip(order, order[1:])]
     out = {}
     for kind in COMPARATORS:
@@ -437,7 +443,7 @@ class TestEvaluateAll:
     @staticmethod
     def _relabel(rng, bounds, ref=None):
         """Spelled labels over consecutive ``bounds``, half of them ``ref``'s at the start."""
-        return [(start, end, ref.label_at(start) if ref and rng.uniform() < 0.5 else
+        return [(start, end, label_at(ref, start) if ref and rng.uniform() < 0.5 else
                  parse_chord(SPELLED_LABELS[int(rng.integers(len(SPELLED_LABELS)))]))
                 for start, end in zip(bounds, bounds[1:])]
 
