@@ -20,10 +20,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +45,11 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Self-describing record of one file-producing run."""
-
-    command: str
-    config: dict
-    seeds: dict
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-
-    def write(self, base):
-        path = tensorio.sibling(base, ".manifest.json")
-        tensorio.write_atomically(
-            path, (json.dumps(asdict(self), indent=1) + "\n").encode("utf-8"))
-        return path
+def write_run_manifest(base, command, config, seeds, inputs, outputs):
+    """Write the self-describing record of one file-producing run beside ``base``."""
+    tensorio.write_json(tensorio.sibling(base, ".manifest.json"), {
+        "command": command, "config": config, "seeds": seeds,
+        "inputs": inputs, "outputs": outputs, "version": __version__})
 
 
 def _ensure_outputs(*paths):
@@ -162,13 +149,13 @@ def cmd_train(args):
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
     })
-    tensorio.write_atomically(history_path, (json.dumps({
+    tensorio.write_json(history_path, {
         "history": list(result.history),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
-    }, indent=1) + "\n").encode("utf-8"))
-    manifest = RunManifest(
-        command="train",
+    })
+    write_run_manifest(
+        args.out, "train",
         config={
             "model": model_cfg.to_dict(),
             "train": {
@@ -183,14 +170,13 @@ def cmd_train(args):
             },
             "vocab": vocab.name,
             "synthetic": None if args.audio else args.synthetic,
-            "duration_s": args.duration,
+            "duration_s": None if args.audio else args.duration,
             "audio": args.audio,
         },
         seeds={"seed": args.seed},
         inputs=[args.audio] if args.audio else [],
         outputs=[str(mpath), str(bpath), str(history_path)],
     )
-    manifest.write(args.out)
     print(f"trained {args.variant} for {len(result.history)} epochs, "
           f"best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch}")
     print(f"checkpoint: {mpath}")
@@ -263,20 +249,17 @@ def cmd_evaluate(args):
         "songs": {stem: result.to_dict() for stem, result in results.items()},
         "aggregate": mt.aggregate(list(results.values())),
     }
-    text = json.dumps(report, indent=1) + "\n"
-    print(text, end="")
+    print(tensorio.json_text(report), end="")
     if args.out:
-        out = Path(args.out)
-        tensorio.write_atomically(out, text.encode("utf-8"))
-        manifest = RunManifest(
-            command="evaluate",
+        tensorio.write_json(args.out, report)
+        write_run_manifest(
+            args.out, "evaluate",
             config={"ref": args.ref, "est": args.est, "model": args.model,
                     "audio": args.audio},
             seeds={},
             inputs=[p for p in (args.ref, args.est, args.model, args.audio) if p],
-            outputs=[str(out)],
+            outputs=[str(Path(args.out))],
         )
-        manifest.write(out)
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ tail. An octave is then one wide product of the hop rows with the
 pieces, summed along the diagonal of pieces, plus the tail rows' product
 with the tail; no frame's window is ever copied. The song is walked in
 time blocks of frames: a block decodes the one span its longest windows
-read, builds the reflection of the signal only where that span crosses
-an end of the song, and runs each octave's product over it as one job
+read, reflects it with ``np.pad`` only where that span crosses an end of
+the song, and runs each octave's product over it as one job
 on a thread pool with one worker per available CPU. So decoding and
 transforming hold a block's samples, not the song's, and the output's
 bytes do not depend on the worker count. Kernels depend on the clip
@@ -155,14 +155,21 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[1] != N_BINS:
             raise ValueError(f"expected (frames, {N_BINS}) values, got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("need at least one frame")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _wrap(cls, arr):
+        # Internal: adopt a fresh (frames, N_BINS) float64 array the caller owns, without copying.
+        matrix = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(matrix, "values", arr)
+        return matrix
 
     @property
     def frames(self):
@@ -357,27 +364,19 @@ def _span(clip, start, stop):
     """Samples ``start`` to ``stop - 1`` of the clip, reflected about its ends.
 
     An index outside [0, n) reads the sample ``np.pad(..., mode="reflect")``
-    puts there: the clip mirrored about its first and last samples, and
-    mirrored again for a clip shorter than the reflection, so period
-    2(n - 1). A span inside the clip is one decode; one that crosses an end
-    is joined from that decode and the mirrored edges.
+    puts there; the span holds at least one sample of the clip. A span that
+    crosses an end decodes the at most ``stop - start`` samples its
+    reflection reads from that end (the whole clip when shorter) and pads
+    them with ``np.pad`` itself.
     """
     n = clip.n_samples
-    lo, hi = max(start, 0), min(stop, n)
-    if (lo, hi) == (start, stop):
+    if 0 <= start and stop <= n:
         return clip.decode(start, stop)
-    period = max(2 * (n - 1), 1)
-
-    def mirrored(edge):
-        if not edge.size:
-            return np.empty(0)
-        i = np.abs(edge) % period
-        i = np.where(i < n, i, period - i)
-        first = i.min()
-        return clip.decode(first, i.max() + 1)[i - first]
-
-    return np.concatenate([mirrored(np.arange(start, lo)), clip.decode(lo, hi),
-                           mirrored(np.arange(hi, stop))])
+    width = stop - start
+    lo = 0 if start < 0 else max(n - width, 0)
+    hi = n if stop > n else min(width, n)
+    padded = np.pad(clip.decode(lo, hi), (max(-start, 0), max(stop - n, 0)), mode="reflect")
+    return padded[max(start - lo, 0):][:width]
 
 
 def available_cpus():
@@ -464,14 +463,15 @@ def cqt(clip):
             running = jobs
         for job in running:
             job.result()
-    return FeatureMatrix(out)
+    return FeatureMatrix._wrap(out)
 
 
 def log_amplitude(f):
     """Elementwise ln(S + LOG_EPS)."""
     if f.values.min() < 0:
         raise ValueError("log amplitude expects nonnegative magnitudes")
-    return FeatureMatrix(np.log(f.values + LOG_EPS))
+    out = f.values + LOG_EPS
+    return FeatureMatrix._wrap(np.log(out, out=out))
 
 
 def compute_norm_stats(features):
@@ -487,8 +487,8 @@ def compute_norm_stats(features):
 
 def znormalize(f, stats):
     """(F - mean) / sqrt(variance) with the pooled scalar statistics."""
-    vals = (f.values - stats.mean) / math.sqrt(stats.variance)
-    return FeatureMatrix(vals)
+    out = f.values - stats.mean
+    return FeatureMatrix._wrap(np.divide(out, math.sqrt(stats.variance), out=out))
 
 
 def windows(values, fill=0):

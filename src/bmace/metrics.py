@@ -235,8 +235,11 @@ def evaluate_all(ref, est):
 def frames_to_annotation(classes, vocab):
     """Merge a framewise class sequence into an interval annotation.
 
-    Frame t owns [frame_time(t), frame_time(t + 1)), so ``framewise_targets``
-    reads ``classes`` back. Runs of one class fuse; SKIP becomes unknown.
+    Frame t owns [frame_time(t - 1/2), frame_time(t + 1/2)) around the
+    centre of its audio, the first from 0, so ``framewise_targets`` reads
+    ``classes`` back. The last end, frame_time(n - 1/2), is not clamped to
+    the clip, whose sample count this function does not see. Runs of one
+    class fuse; SKIP becomes unknown.
     """
     classes = np.asarray(classes)
     if classes.size == 0:
@@ -244,7 +247,7 @@ def frames_to_annotation(classes, vocab):
     # Frame indices where a run starts, then the end of the last run.
     changes = np.flatnonzero(classes[1:] != classes[:-1]) + 1
     bounds = np.concatenate(([0], changes, [classes.size]))
-    times = chords.frame_time(bounds).tolist()
+    times = chords.frame_time(np.maximum(bounds - 0.5, 0.0)).tolist()
     labels = [chords.ChordLabel.unknown() if class_id == chords.SKIP
               else chords.parse_chord(chords.class_to_label(class_id, vocab))
               for class_id in classes[bounds[:-1]].tolist()]

@@ -11,8 +11,8 @@ sequence modelling, and a linear head emits per-frame class logits.
           the head reads 2*d_model features.
   bmace   like mace-h, but the second block runs backward in time, giving
           the head a view of both past and future context at every frame.
-          ``forward`` wires that branch as a forward block between two time
-          reversals: reverse_time(block(reverse_time(h0))).
+          ``forward`` wires that branch, residual included, as
+          reverse_time(run(block_b, reverse_time(h0))).
 
 FLOP accounting convention: a multiply-accumulate costs 2, plain elementwise
 ops cost 1, and exp/sigmoid/ln/sqrt cost 8 each. Time reversal and
@@ -193,9 +193,7 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
     elif cfg.variant == MACE_H:
         feats = concat_features(run(block_a, h0), run(block_b, h0))
     else:  # bmace: the second block reads time reversed
-        first = run(block_a, h0)
-        back = mamba_block(reverse_time(h0), block_b, scan_impl=scan_impl)
-        feats = concat_features(first, add(h0, reverse_time(back)))
+        feats = concat_features(run(block_a, h0), reverse_time(run(block_b, reverse_time(h0))))
     return add_bias(matmul(feats, params["head"]), params["head_bias"])
 
 

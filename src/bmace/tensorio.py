@@ -6,7 +6,8 @@ records) and ``<base>.bin`` holds the raw little-endian float32 values back
 to back in manifest order. The manifest records the blob's length and
 SHA-256, and loading checks the tag and both. Each file is written beside
 its target and renamed over it, blob first and manifest last, so a reader
-never sees a half-written file.
+never sees a half-written file. Every JSON file the package writes takes
+one form, ``json_text``, written as UTF-8 by ``write_json`` that same way.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def write_atomically(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def json_text(obj) -> str:
+    """``obj`` in the package's JSON form: indent 1, keys in insertion order, a final newline."""
+    return json.dumps(obj, indent=1) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` in the JSON form, as UTF-8, atomically."""
+    write_atomically(Path(path), json_text(obj).encode("utf-8"))
+
+
 def write_tensors(path, meta: dict, named_arrays) -> tuple[Path, Path]:
     """Write (name, array) pairs; arrays are stored as little-endian float32."""
     records = []
@@ -92,7 +103,7 @@ def write_tensors(path, meta: dict, named_arrays) -> tuple[Path, Path]:
     }
     mpath, bpath = manifest_path(path), blob_path(path)
     write_atomically(bpath, blob)
-    write_atomically(mpath, (json.dumps(manifest, indent=1) + "\n").encode("utf-8"))
+    write_json(mpath, manifest)
     return mpath, bpath
 
 

@@ -530,7 +530,7 @@ def predict_classes(params, model_cfg, stats, feats):
     length, so inference needs no windows, and every frame is predicted
     with the context of the entire clip.
     """
-    values = ft.znormalize(feats, stats).values.astype(np.float32)
+    values = ft.znormalize(feats, stats).values
     return md.predict(params, model_cfg, Tensor(values, dtype=STANDARD))
 
 

@@ -285,6 +285,19 @@ class TestTrainCommand:
         assert code == cli.EXIT_OK, err
         assert (tmp_path / "m.bin").is_file()
 
+    def test_audio_manifest_records_no_synthetic_clip_length(self, capsys, tmp_path):
+        # --duration sets the length of synthetic clips only.
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 3)
+        args = self.audio_train_args(audio, tmp_path / "m") + ["--duration", "3.0"]
+        code, _, err = run_cli(capsys, *args)
+        assert code == cli.EXIT_OK, err
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "seeds", "inputs", "outputs", "version"]
+        config = manifest["config"]
+        assert (config["synthetic"], config["duration_s"], config["audio"]) == (
+            None, None, str(audio))
+
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
                                                        rate):

@@ -346,7 +346,12 @@ class TestExtensibleWav:
 
 
 class TestBlockDecode:
-    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK])
+    # BLOCK - HOP + N_MAX - 1 samples: the first block's span starts before
+    # the clip and ends inside it, yet is longer than the clip.
+    @pytest.mark.parametrize("samples", [1, 2, 3, 2047, 2049, ft.N_MAX - 1, ft.N_MAX,
+                                         ft.N_MAX + 1, BLOCK - 1, BLOCK,
+                                         BLOCK - ft.HOP + ft.N_MAX - 1, 2 * BLOCK - 1,
+                                         2 * BLOCK])
     @pytest.mark.parametrize("code", [1, 3])
     @pytest.mark.parametrize("channels", [1, 2])
     def test_blocks_match_the_whole_song_decode(self, tmp_path, code, channels, samples):
@@ -634,6 +639,21 @@ class TestNormalization:
             NormStats(0.0, 0.0)
         with pytest.raises(ValueError):
             NormStats(float("nan"), 1.0)
+
+    def test_log_and_normalize_each_fill_one_fresh_matrix(self):
+        # A 5-min song's features: each step holds its input and its own
+        # output, and no copy of either.
+        rng = np.random.default_rng(13)
+        feats = cqt(AudioClip(rng.uniform(-0.5, 0.5, 300 * SR)))
+        size = feats.values.nbytes
+        tracemalloc.start()
+        try:
+            z = znormalize(log_amplitude(feats), NormStats(-5.0, 4.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z.frames == n_frames(300 * SR)
+        assert peak <= 2.1 * size, f"peak {peak / size:.2f} times the features"
 
 
 def window_starts(frames):

@@ -548,7 +548,7 @@ class TestFramesToAnnotation:
         ann = frames_to_annotation([0, 0, 1, 1, 24], MAJMIN_25)
         assert len(ann.intervals) == 3
         start, end, label = ann.intervals[0]
-        assert (start, end) == (0.0, pytest.approx(2 * width))
+        assert (start, end) == (0.0, pytest.approx(1.5 * width))
         assert label.quality == "maj"
         assert ann.intervals[2][2].is_no_chord
 
@@ -584,19 +584,36 @@ class TestFramesToAnnotation:
 
     def test_one_frame_is_one_interval(self):
         ann = frames_to_annotation(np.array([7]), MAJMIN_25)
-        assert ann.intervals == ((0.0, frame_time(1), parse_chord(class_to_label(7, MAJMIN_25))),)
+        assert ann.intervals == ((0.0, frame_time(0.5), parse_chord(class_to_label(7, MAJMIN_25))),)
 
     def test_all_skip_frames_are_one_unknown_interval(self):
         ann = frames_to_annotation([SKIP] * 9, MAJMIN_25)
-        assert ann.intervals == ((0.0, frame_time(9), ChordLabel.unknown()),)
+        assert ann.intervals == ((0.0, frame_time(8.5), ChordLabel.unknown()),)
 
     def test_classes_alternating_every_frame_give_one_interval_per_frame(self):
         classes = np.array([3, 168] * 20)
         ann = frames_to_annotation(classes, LARGE_170)
-        want = [(frame_time(t), frame_time(t + 1), parse_chord(class_to_label(c, LARGE_170)))
+        want = [(max(frame_time(t - 0.5), 0.0), frame_time(t + 0.5),
+                 parse_chord(class_to_label(c, LARGE_170)))
                 for t, c in enumerate(classes.tolist())]
         assert list(ann.intervals) == want
         assert framewise_targets(ann, len(classes), LARGE_170).tolist() == classes.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_perfect_frames_put_each_boundary_within_half_a_hop(self, seed):
+        # Frame t's audio is centred at frame_time(t), so a boundary read
+        # back from perfect frames is off by at most half a hop either way.
+        rng = np.random.default_rng(seed)
+        hop = frame_time(1)
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 60.0, 40)), [60.0]))
+        times = times[np.concatenate(([True], np.diff(times) > 2 * hop))]
+        labels = [parse_chord(class_to_label(k % 24, MAJMIN_25)) for k in range(len(times) - 1)]
+        ref = Annotation(tuple(zip(times[:-1].tolist(), times[1:].tolist(), labels)))
+        n = int(times[-1] / hop) + 1
+        est = frames_to_annotation(framewise_targets(ref, n, MAJMIN_25), MAJMIN_25)
+        assert [label for _, _, label in est.intervals] == labels
+        shifts = [e - r for (e, _, _), r in zip(est.intervals[1:], times[1:-1])]
+        assert max(map(abs, shifts)) <= hop / 2 + 1e-9, shifts
 
 
 class TestAggregate:

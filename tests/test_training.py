@@ -774,4 +774,4 @@ class TestPrediction:
         annotation = tr.predict_annotation(params, cfg, stats, example.features,
                                            chords.MAJMIN_25)
         frames = example.features.frames
-        assert abs(annotation.duration - frames * 2048 / 22050) < 1e-9
+        assert abs(annotation.duration - (frames - 0.5) * 2048 / 22050) < 1e-9
