@@ -42,8 +42,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import wave
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,24 +129,34 @@ class AudioClip:
         x.flags.writeable = False
         return x
 
-    def decode(self, start, stop):
+    def decode(self, start, stop, out=None):
         """Samples ``start`` to ``stop - 1`` (0 <= start <= stop <= n_samples) as float64.
 
-        A float array's samples come as they are, as a view. A data chunk's
-        come by one rule, whatever the range: PCM16 divided by 32767.0 or
-        float32 widened, channels averaged, clipped to [-1, 1]. Each sample
-        depends on its own row only, so a range decodes to the same bytes as
-        the same samples of a whole-clip decode.
+        A float array's samples come as they are, as a view, or copied into
+        ``out`` when given. A data chunk's come by one rule, whatever the
+        range: PCM16 divided by 32767.0 or float32 widened, channels
+        averaged, clipped to [-1, 1], written into ``out`` (a float64
+        vector of ``stop - start`` samples) when given. Each sample depends
+        on its own row only, so a range decodes to the same bytes as the
+        same samples of a whole-clip decode.
         """
         raw = self._source[start:stop]
         if raw.ndim == 1:
-            return raw
+            if out is None:
+                return raw
+            out[:] = raw
+            return out
+        if out is None:
+            out = np.empty(len(raw))
+        # Mono widens straight into ``out``; more channels widen first, then average.
+        wide = out[:, None] if raw.shape[1] == 1 else np.empty(raw.shape)
         if raw.dtype.kind == "i":
-            x = np.divide(raw, 32767.0, out=np.empty(raw.shape))
+            np.divide(raw, 32767.0, out=wide)
         else:
-            x = raw.astype(np.float64)
-        x = x.mean(axis=1) if x.shape[1] > 1 else x.ravel()
-        return np.clip(x, -1.0, 1.0, out=x)
+            wide[...] = raw
+        if raw.shape[1] > 1:
+            wide.mean(axis=1, out=out)
+        return np.clip(out, -1.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -300,6 +311,9 @@ N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
 _CQT_BLOCK = 256
 
 _PLAN_CACHE = {}
+# ``cqt``'s one thread pool (``_cqt_pool``), and the lock that makes it once.
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 # Synthesis block: an interval is rendered as rows of this many samples.
 _SYNTH_BLOCK = 1024
@@ -364,19 +378,26 @@ def _span(clip, start, stop):
     """Samples ``start`` to ``stop - 1`` of the clip, reflected about its ends.
 
     An index outside [0, n) reads the sample ``np.pad(..., mode="reflect")``
-    puts there; the span holds at least one sample of the clip. A span that
-    crosses an end decodes the at most ``stop - start`` samples its
-    reflection reads from that end (the whole clip when shorter) and pads
-    them with ``np.pad`` itself.
+    puts there; the span holds at least one sample of the clip. The clip's
+    samples are decoded once, straight into the span, and ``np.pad``
+    reflects the span's own samples beside each end into the part past it.
+    Only where the span holds too few of them to reflect, as for a clip
+    shorter than its pad, is the whole clip decoded and padded.
     """
     n = clip.n_samples
     if 0 <= start and stop <= n:
         return clip.decode(start, stop)
-    width = stop - start
-    lo = 0 if start < 0 else max(n - width, 0)
-    hi = n if stop > n else min(width, n)
-    padded = np.pad(clip.decode(lo, hi), (max(-start, 0), max(stop - n, 0)), mode="reflect")
-    return padded[max(start - lo, 0):][:width]
+    lo, hi = max(start, 0), min(stop, n)
+    lead, trail = lo - start, stop - hi
+    if max(lead, trail) >= hi - lo:
+        return np.pad(clip.decode(0, n), (lead, trail), mode="reflect")[lo:lo + stop - start]
+    span = np.empty(stop - start)
+    clip.decode(lo, hi, out=span[lead:lead + hi - lo])
+    if lead:
+        span[:lead] = np.pad(span[lead:2 * lead + 1], (lead, 0), mode="reflect")[:lead]
+    if trail:
+        span[-trail:] = np.pad(span[-2 * trail - 1:-trail], (0, trail), mode="reflect")[-trail:]
+    return span
 
 
 def available_cpus():
@@ -388,8 +409,25 @@ def available_cpus():
 
 
 def _cqt_pool():
-    """Executor for ``cqt``'s jobs: one worker per CPU this process may run on."""
-    return ThreadPoolExecutor(max_workers=available_cpus())
+    """``cqt``'s executor, made on first use: one worker per CPU this process may run on."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=available_cpus())
+        return _POOL
+
+
+def shutdown_cqt_pool():
+    """Join ``cqt``'s worker threads; the next ``cqt`` makes a new pool.
+
+    Call it while no ``cqt`` runs, before forking: a fork copies only the
+    calling thread, so a process with live workers cannot fork safely.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown()
 
 
 def _cqt_block(rows, tails, pieces, tail, dest):
@@ -441,8 +479,9 @@ def cqt(clip):
     reach = octaves[0][2]
     frames = n_frames(n)
     out = np.empty((frames, N_BINS))
-    with _cqt_pool() as pool:
-        running = []
+    pool = _cqt_pool()
+    running = jobs = []
+    try:
         for t in range(0, frames, _CQT_BLOCK):
             f = min(_CQT_BLOCK, frames - t)
             first = t * HOP - reach // 2  # frame t's octave-0 window start
@@ -463,6 +502,8 @@ def cqt(clip):
             running = jobs
         for job in running:
             job.result()
+    finally:
+        wait(running + jobs)  # no job outlives the call, even when one fails
     return FeatureMatrix._wrap(out)
 
 

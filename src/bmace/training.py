@@ -449,6 +449,7 @@ def train(model_cfg, train_cfg, train_clips, val_clips, vocab):
     train_segments = build_dataset(train_clips, vocab, stats, "training")
     val_segments = build_dataset(val_clips, vocab, stats, "validation")
 
+    ft.shutdown_cqt_pool()  # its threads would keep the gradient pool from forking
     workers, why = _gradient_workers(train_cfg.batch_size)
     print(f"gradients on the parent and {workers} forked worker(s) ({why})", file=sys.stderr)
     flat, state = _init_training(model_cfg)

@@ -481,8 +481,15 @@ class TestCqt:
         assert kept > 17e6
         assert peak <= 1.1 * kept
 
+    @pytest.fixture
+    def swap_pool(self, monkeypatch):
+        # Puts another executor, or None, in the place of ``cqt``'s one pool,
+        # and shuts down whatever pool is there when the test ends.
+        yield lambda pool: monkeypatch.setattr(ft, "_POOL", pool)
+        ft.shutdown_cqt_pool()
+
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_output_does_not_depend_on_worker_count(self, monkeypatch, workers):
+    def test_output_does_not_depend_on_worker_count(self, swap_pool, workers):
         clip = AudioClip(np.random.default_rng(21).uniform(-0.5, 0.5, 520 * ft.HOP))
         expected = cqt(clip).values
         submitted = []
@@ -492,29 +499,28 @@ class TestCqt:
                 submitted.append(fn)
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(ft, "_cqt_pool", lambda: Recording(max_workers=workers))
+        swap_pool(Recording(max_workers=workers))
         assert np.array_equal(cqt(clip).values, expected)
         assert len(submitted) == 6 * 3  # octaves times blocks of 521 frames
 
-    def test_pool_without_affinity_mask(self, monkeypatch):
+    def test_pool_without_affinity_mask(self, monkeypatch, swap_pool):
         # macOS and Windows have no os.sched_getaffinity: one worker per CPU.
         clip = AudioClip(np.random.default_rng(23).uniform(-0.5, 0.5, 300 * ft.HOP))
         expected = cqt(clip).values
         monkeypatch.delattr(ft.os, "sched_getaffinity", raising=False)
-        with ft._cqt_pool() as pool:
-            assert pool._max_workers == (ft.os.cpu_count() or 1)
+        swap_pool(None)  # the next call makes the pool
+        assert ft._cqt_pool()._max_workers == (ft.os.cpu_count() or 1)
         assert np.array_equal(cqt(clip).values, expected)
 
-    def test_concurrent_calls_match_sequential(self, monkeypatch):
-        # Two callers share the plan cache, and each runs its own pool with
-        # more workers than there are cores, switching threads as often as
-        # the interpreter can.
+    def test_concurrent_calls_match_sequential(self, monkeypatch, swap_pool):
+        # Two callers share the plan cache and the one pool, which has more
+        # workers than there are cores, switching threads as often as the
+        # interpreter can.
         rng = np.random.default_rng(22)
         clips = [AudioClip(rng.uniform(-0.5, 0.5, n)) for n in (600 * ft.HOP, 400 * ft.HOP + 77)]
         expected = [cqt(clip).values for clip in clips]
         monkeypatch.setattr(ft, "_PLAN_CACHE", {})
-        workers = (ft.os.cpu_count() or 1) + 1
-        monkeypatch.setattr(ft, "_cqt_pool", lambda: ThreadPoolExecutor(max_workers=workers))
+        swap_pool(ThreadPoolExecutor(max_workers=(ft.os.cpu_count() or 1) + 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -524,6 +530,18 @@ class TestCqt:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_pool_is_made_once_and_again_after_shutdown(self, swap_pool):
+        clip = AudioClip(np.random.default_rng(24).uniform(-0.5, 0.5, 3 * ft.HOP))
+        swap_pool(None)
+        expected = cqt(clip).values
+        pool = ft._POOL
+        assert np.array_equal(cqt(clip).values, expected)
+        assert ft._POOL is pool
+        ft.shutdown_cqt_pool()
+        assert ft._POOL is None and pool._shutdown
+        assert np.array_equal(cqt(clip).values, expected)
+        assert ft._POOL is not None and ft._POOL is not pool
 
     def test_one_plan_for_every_long_clip(self, monkeypatch):
         assert ft.N_MAX == 23011

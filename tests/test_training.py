@@ -620,6 +620,24 @@ class TestGradientPool:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert tr._gradient_workers(8) == (0, "no fork")
 
+    def test_training_still_forks_after_the_cqt(self, capsys, monkeypatch):
+        # The CQT's pool threads outlive each cqt call; train shuts them down
+        # before it counts live threads, and the next cqt makes a new pool.
+        monkeypatch.setattr(ft, "available_cpus", lambda: 4)
+        ft.shutdown_cqt_pool()
+        clip = ft.AudioClip(np.random.default_rng(31).uniform(-0.5, 0.5, 3 * ft.HOP))
+        expected = ft.cqt(clip).values
+        pool = ft._POOL
+        assert threading.active_count() > 1
+        corpus = tr.make_synthetic_corpus(5, chords.MAJMIN_25, seed=3, duration_s=2.0)
+        tr.train(tiny_config(), tr.TrainConfig(max_epochs=1, batch_size=2), corpus[:4],
+                 corpus[4:], chords.MAJMIN_25)
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "gradients on the parent and 1 forked worker(s) (batch size 2)"
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(ft.cqt(clip).values, expected)
+        assert ft._POOL is not None and ft._POOL is not pool
+
 
 class TestOverfit:
     def test_loss_decreases_on_one_segment(self):
