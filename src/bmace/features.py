@@ -325,36 +325,49 @@ _PARTIAL_HARMONIC = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
 
 
 def _octave_plan(lo, key):
-    """One octave's kernels in hop-row layout: (pieces, tail, n_oct).
+    """One octave's kernels in hop-row layout: (pieces, tail, n_oct, widths).
 
     Think of the octave as a real (n_oct, 48) matrix, n_oct being its
-    longest kernel: column j holds the real part and column 24 + j the
-    imaginary part of bin lo + j's kernel, zero-padded and centred at row
-    offset n_oct//2 - n_b//2. Its first full*HOP rows, full being
-    (n_oct - 1) // HOP, are cut into HOP-row pieces laid side by side as
-    ``pieces`` (HOP, full*48), piece p in columns 48p to 48p + 47; the
-    remaining 1 to HOP rows are ``tail``. The matrix itself is never
-    built: each kernel column is written straight into the two.
+    longest kernel, with its columns in bin order: columns 2j and 2j + 1
+    hold the real and imaginary parts of bin lo + j's kernel, zero-padded
+    and centred at row offset n_oct//2 - n_b//2. Its first full*HOP rows,
+    full being (n_oct - 1) // HOP, are cut into HOP-row pieces; the
+    remaining 1 to HOP rows are ``tail``. Kernels shorten as the bin rises
+    and share one centre, so the bins with a row in a piece are a prefix
+    of the octave's: piece p keeps only its first widths[p] columns, and
+    the tail its first ``tail.shape[1]``; every column dropped is zero.
+    ``pieces`` (HOP, sum(widths)) lays the kept pieces side by side in
+    piece order. The matrix itself is never built: each kernel column is
+    written straight into the two.
     """
-    width = 2 * BINS_PER_OCTAVE
     freqs = [FMIN * 2.0 ** (b / BINS_PER_OCTAVE) for b in range(lo, lo + BINS_PER_OCTAVE)]
     lengths = [min(math.ceil(_Q * SAMPLE_RATE / f), key) for f in freqs]
     n_oct = max(lengths)
     full = (n_oct - 1) // HOP
-    pieces = np.zeros((HOP, full, width))
-    tail = np.zeros((n_oct - full * HOP, width))
+    offsets = [n_oct // 2 - n_b // 2 for n_b in lengths]
+
+    def width(top, bottom):
+        # Columns of the bins whose kernel has a row in [top, bottom).
+        return 2 * sum(off < bottom and off + n_b > top for off, n_b in zip(offsets, lengths))
+
+    widths = tuple(width(p * HOP, (p + 1) * HOP) for p in range(full))
+    starts = np.cumsum((0,) + widths)
+    pieces = np.zeros((HOP, starts[-1]))
+    tail = np.zeros((n_oct - full * HOP, width(full * HOP, n_oct)))
     column = np.empty(n_oct)
-    for j, (freq, n_b) in enumerate(zip(freqs, lengths)):
+    for j, (freq, n_b, off) in enumerate(zip(freqs, lengths, offsets)):
         window = np.hanning(n_b) if n_b > 1 else np.ones(1)
         phase = np.exp(-2j * np.pi * freq / SAMPLE_RATE * np.arange(n_b))
         kernel = window * phase / n_b
-        off = n_oct // 2 - n_b // 2
-        for c, part in ((j, kernel.real), (BINS_PER_OCTAVE + j, kernel.imag)):
+        for c, part in ((2 * j, kernel.real), (2 * j + 1, kernel.imag)):
             column[:] = 0.0
             column[off:off + n_b] = part
-            pieces[:, :, c] = column[:full * HOP].reshape(full, HOP).T
-            tail[:, c] = column[full * HOP:]
-    return pieces.reshape(HOP, full * width), tail, n_oct
+            for p, start in enumerate(starts[:-1]):
+                if c < widths[p]:
+                    pieces[:, start + c] = column[p * HOP:(p + 1) * HOP]
+            if c < tail.shape[1]:
+                tail[:, c] = column[full * HOP:]
+    return pieces, tail, n_oct, widths
 
 
 def _cqt_plan(n_samples):
@@ -430,21 +443,24 @@ def shutdown_cqt_pool():
         pool.shutdown()
 
 
-def _cqt_block(rows, tails, pieces, tail, dest):
+def _cqt_block(rows, tails, pieces, tail, widths, dest):
     """Magnitudes of one block of frames in one octave, written into ``dest``.
 
     Frame i of the block is hop rows i to i + full - 1 of ``rows`` and
-    tail row i of ``tails``; row i + p times piece p is added to frame
-    i's sum. ``dest`` is the block's (frames, 24) slice of the output,
-    which no other block touches.
+    tail row i of ``tails``. Frame i's sum starts from its tail row times
+    ``tail``, and row i + p times piece p is added to its first widths[p]
+    columns, in piece order. ``dest`` is the block's (frames, 24) slice of
+    the output, which no other block touches.
     """
     f = len(dest)
-    width = 2 * BINS_PER_OCTAVE
-    y = tails @ tail
+    y = np.zeros((f, 2 * BINS_PER_OCTAVE))
+    y[:, :tail.shape[1]] = tails @ tail
     z = rows @ pieces
-    for p in range(pieces.shape[1] // width):
-        y += z[p:p + f, p * width:(p + 1) * width]
-    np.hypot(y[:, :BINS_PER_OCTAVE], y[:, BINS_PER_OCTAVE:], out=dest)
+    start = 0
+    for p, w in enumerate(widths):
+        y[:, :w] += z[p:p + f, start:start + w]
+        start += w
+    np.hypot(y[:, 0::2], y[:, 1::2], out=dest)
 
 
 def cqt(clip):
@@ -487,15 +503,16 @@ def cqt(clip):
             first = t * HOP - reach // 2  # frame t's octave-0 window start
             span = _span(clip, first, first + (f - 1) * HOP + reach)
             jobs = []
-            for lo, (pieces, tail, n_oct) in zip(range(0, N_BINS, BINS_PER_OCTAVE), octaves):
-                full = pieces.shape[1] // (2 * BINS_PER_OCTAVE)
+            for lo, (pieces, tail, n_oct, widths) in zip(range(0, N_BINS, BINS_PER_OCTAVE),
+                                                         octaves):
+                full = len(widths)
                 start = reach // 2 - n_oct // 2  # frame t's window start in this octave
                 rows = span[start:start + (f + full - 1) * HOP].reshape(-1, HOP)
                 # tails[i]: the last len(tail) samples of frame t + i's window.
                 tails = np.lib.stride_tricks.sliding_window_view(
                     span[start + full * HOP:], len(tail))[::HOP][:f]
                 jobs.append(pool.submit(
-                    _cqt_block, rows, tails, pieces, tail,
+                    _cqt_block, rows, tails, pieces, tail, widths,
                     out[t:t + f, lo:lo + BINS_PER_OCTAVE]))
             for job in running:
                 job.result()
