@@ -8,7 +8,7 @@ inference does not window, because the model's scan is linear in length
 and runs over a whole song in one pass.
 
 A clip keeps its samples as its source stores them: ``read_wav`` keeps
-the data chunk (PCM16 or float32, plain or WAVE_FORMAT_EXTENSIBLE), and
+the data chunk (PCM16, PCM24 or float32, plain or WAVE_FORMAT_EXTENSIBLE), and
 ``AudioClip.decode`` turns any range of it into float64 on request. So
 no whole-song float copy exists between the file and the features.
 
@@ -87,9 +87,10 @@ class AudioClip:
 
     The source is either a 1-D float array, of which ``AudioClip(samples)``
     keeps a read-only copy, or a WAV file's data chunk as ``read_wav``
-    finds it: PCM16 or float32, one row per sample and one column per
-    channel. ``decode`` turns a range of the source into float64 samples,
-    so a clip read from a file never holds a float copy of the song.
+    finds it: PCM16, PCM24 or float32, one row per sample and one column
+    per channel (PCM24 adds an axis of each value's three bytes).
+    ``decode`` turns a range of the source into float64 samples, so a clip
+    read from a file never holds a float copy of the song.
     """
 
     def __init__(self, samples):
@@ -104,7 +105,8 @@ class AudioClip:
 
     @classmethod
     def _of_chunk(cls, frames):
-        # Internal: a (samples, channels) PCM16 or float32 view of a data chunk.
+        # Internal: a (samples, channels) PCM16 or float32, or a (samples, channels, 3)
+        # PCM24, view of a data chunk.
         clip = object.__new__(cls)
         clip._source = frames
         return clip
@@ -134,11 +136,11 @@ class AudioClip:
 
         A float array's samples come as they are, as a view, or copied into
         ``out`` when given. A data chunk's come by one rule, whatever the
-        range: PCM16 divided by 32767.0 or float32 widened, channels
-        averaged, clipped to [-1, 1], written into ``out`` (a float64
-        vector of ``stop - start`` samples) when given. Each sample depends
-        on its own row only, so a range decodes to the same bytes as the
-        same samples of a whole-clip decode.
+        range: PCM16 divided by 32767.0, PCM24 by 8388607.0, or float32
+        widened, channels averaged, clipped to [-1, 1], written into ``out``
+        (a float64 vector of ``stop - start`` samples) when given. Each
+        sample depends on its own row only, so a range decodes to the same
+        bytes as the same samples of a whole-clip decode.
         """
         raw = self._source[start:stop]
         if raw.ndim == 1:
@@ -149,8 +151,12 @@ class AudioClip:
         if out is None:
             out = np.empty(len(raw))
         # Mono widens straight into ``out``; more channels widen first, then average.
-        wide = out[:, None] if raw.shape[1] == 1 else np.empty(raw.shape)
-        if raw.dtype.kind == "i":
+        wide = out[:, None] if raw.shape[1] == 1 else np.empty(raw.shape[:2])
+        if raw.ndim == 3:  # PCM24: three little-endian bytes, the last one signed
+            word = np.zeros(raw.shape[:2] + (4,), np.uint8)
+            word[..., 1:] = raw
+            np.divide(word.view("<i4")[..., 0] >> 8, 8388607.0, out=wide)
+        elif raw.dtype.kind == "i":
             np.divide(raw, 32767.0, out=wide)
         else:
             wide[...] = raw
@@ -209,7 +215,7 @@ class NormStats:
 
 
 def read_wav(path):
-    """Read a RIFF/WAVE file: PCM16 or float32, any channel count.
+    """Read a RIFF/WAVE file: PCM16, PCM24 or float32, any channel count.
 
     The format tag is 1 (PCM), 3 (IEEE float) or WAVE_FORMAT_EXTENSIBLE
     with the PCM or IEEE float SubFormat GUID. Rates other than 22,050 Hz
@@ -260,7 +266,7 @@ def read_wav(path):
             raise WavFormatError(f"unsupported extensible SubFormat {guid.hex()}", fmt_pos + 32)
     if n_channels < 1:
         raise WavFormatError("zero channels", fmt_pos)
-    if audio_format == 1 and bits != 16:
+    if audio_format == 1 and bits not in (16, 24):
         raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
     if audio_format == 3 and bits != 32:
         raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
@@ -271,10 +277,13 @@ def read_wav(path):
 
     row_bytes = bits // 8 * n_channels
     count = len(body) // row_bytes
-    frames = np.frombuffer(body, dtype="<i2" if audio_format == 1 else "<f4",
-                           count=count * n_channels).reshape(count, n_channels)
+    if bits == 24:  # no numpy dtype: keep each value's three bytes
+        frames = np.frombuffer(body, np.uint8, count * row_bytes).reshape(count, n_channels, 3)
+    else:
+        frames = np.frombuffer(body, dtype="<i2" if audio_format == 1 else "<f4",
+                               count=count * n_channels).reshape(count, n_channels)
     clip = AudioClip._of_chunk(frames)
-    if audio_format == 3:  # PCM16 always decodes to a finite value
+    if audio_format == 3:  # PCM always decodes to a finite value
         step = _CQT_BLOCK * HOP
         for start in range(0, count, step):
             bad = np.flatnonzero(~np.isfinite(clip.decode(start, start + step)))

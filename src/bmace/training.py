@@ -128,15 +128,33 @@ def adam_init(flat):
 
 
 def adam_step(flat, grad, state, cfg):
-    """One bias-corrected Adam update; returns (new parameter vector, new state)."""
+    """One bias-corrected Adam update; returns (new parameter vector, new state).
+
+    The state's moments ``m`` and ``v`` are updated in place, by the
+    textbook expression's operations in its order, so every bit is as the
+    expression gives it. ``flat`` is never written: the new vector is a
+    fresh array, so a caller may keep the old one.
+    """
     if grad.shape != flat.shape:
         raise nm.ShapeError(f"gradient has shape {grad.shape}, parameters are {flat.shape}")
     t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * grad
-    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    return flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), AdamState(m, v, t)
+    m, v = state.m, state.v
+    # m = BETA1 * m + (1 - BETA1) * grad; v = BETA2 * v + (1 - BETA2) * grad * grad
+    step = np.multiply(grad, 1.0 - BETA1)
+    m *= BETA1
+    m += step
+    np.multiply(grad, 1.0 - BETA2, out=step)
+    step *= grad
+    v *= BETA2
+    v += step
+    # flat - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + eps)
+    denom = np.divide(v, 1.0 - BETA2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1.0 - BETA1 ** t, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    return np.subtract(flat, step, out=step), AdamState(m, v, t)
 
 
 def clip_gradients(grad, max_norm):

@@ -338,11 +338,38 @@ class TestExtensibleWav:
 
     def test_depth_is_checked_after_the_subformat(self, tmp_path):
         fmt = bytearray(extensible_fmt(1, 1))
-        fmt[14:16] = struct.pack("<H", 24)
+        fmt[14:16] = struct.pack("<H", 20)
         path = tmp_path / "deep.wav"
         path.write_bytes(riff(bytes(fmt), bytes(300)))
-        with pytest.raises(WavFormatError, match="unsupported PCM depth 24"):
+        with pytest.raises(WavFormatError, match="unsupported PCM depth 20"):
             read_wav(path)
+
+
+class TestPcm24:
+    @staticmethod
+    def fmt(channels, extensible):
+        body = struct.pack("<HHIIHH", 1, channels, SR, SR * 3 * channels, 3 * channels, 24)
+        if not extensible:
+            return body
+        return (struct.pack("<H", 0xFFFE) + body[2:] + struct.pack("<HHI", 22, 24, 0)
+                + struct.pack("<H", 1) + GUID_TAIL)
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_decode_bytes_match_reference(self, tmp_path, channels, extensible):
+        # Both extremes: -8388608 decodes below -1 and is clipped.
+        values = np.random.default_rng(channels).integers(-8388608, 8388608, 3000 * channels)
+        values[:2] = [-8388608, 8388607]
+        path = tmp_path / "deep.wav"
+        body = b"".join(struct.pack("<i", int(v))[:3] for v in values)
+        path.write_bytes(riff(self.fmt(channels, extensible), body))
+        ref = [min(max(sum(row) / channels, -1.0), 1.0)
+               for row in (values / 8388607.0).reshape(-1, channels)]
+        clip = read_wav(path)
+        assert clip.samples.tobytes() == np.array(ref).tobytes()
+        # Any range decodes to the same bytes as the whole song's samples.
+        for start, stop in ((0, 1), (17, 2048), (2999, 3000), (1000, 1000)):
+            assert clip.decode(start, stop).tobytes() == np.array(ref[start:stop]).tobytes()
 
 
 class TestBlockDecode:

@@ -203,6 +203,27 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_in_place_moments_match_the_textbook_expression(self):
+        rng = np.random.default_rng(41)
+        cfg = tr.TrainConfig(learning_rate=3e-3)
+        flat = rng.standard_normal(1001).astype(np.float32)
+        p, s = flat, tr.adam_init(flat)
+        ref_p, m, v = flat, np.zeros_like(flat), np.zeros_like(flat)
+        for t in range(1, 21):
+            grad = rng.standard_normal(flat.size).astype(np.float32)
+            before = p.copy()
+            new, s = tr.adam_step(p, grad, s, cfg)
+            assert p.tobytes() == before.tobytes()  # the old vector is never written
+            p = new
+            m = tr.BETA1 * m + (1.0 - tr.BETA1) * grad
+            v = tr.BETA2 * v + (1.0 - tr.BETA2) * grad * grad
+            m_hat = m / (1.0 - tr.BETA1 ** t)
+            v_hat = v / (1.0 - tr.BETA2 ** t)
+            ref_p = ref_p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+            assert s.t == t
+            for ours, ref in ((p, ref_p), (s.m, m), (s.v, v)):
+                assert ours.dtype == np.float32 and ours.tobytes() == ref.tobytes()
+
 
 class TestClipGradients:
     def test_small_gradients_pass_through(self):
