@@ -8,26 +8,31 @@ inference does not window, because the model's scan is linear in length
 and runs over a whole song in one pass.
 
 A clip keeps its samples as its source stores them: ``read_wav`` keeps
-the data chunk (PCM16, PCM24 or float32, plain or WAVE_FORMAT_EXTENSIBLE), and
-``AudioClip.decode`` turns any range of it into float64 on request. So
-no whole-song float copy exists between the file and the features.
+the data chunk (PCM16, PCM24 or float32, plain or
+WAVE_FORMAT_EXTENSIBLE), and ``AudioClip.decode`` turns any range of it
+into float64 on request. So no whole-song float copy exists between the
+file and the features.
 
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
-in one real ``[Re | Im]`` kernel matrix. Frames start one hop apart, so
-the signal is read as a view of hop rows, and the kernel matrix is
-stored cut into hop-length pieces laid side by side plus a shorter
-tail. An octave is then one wide product of the hop rows with the
-pieces, summed along the diagonal of pieces, plus the tail rows' product
-with the tail; no frame's window is ever copied. The song is walked in
-time blocks of frames: a block decodes the one span its longest windows
-read, reflects it with ``np.pad`` only where that span crosses an end of
-the song, and runs each octave's product over it as one job
-on a thread pool with one worker per available CPU. So decoding and
-transforming hold a block's samples, not the song's, and the output's
-bytes do not depend on the worker count. Kernels depend on the clip
-length only below the longest kernel (~1.04 s), so one plan serves
-every longer clip.
+in one real kernel matrix, each bin's real and imaginary columns side by
+side in bin order. Frames start one hop apart, so the signal is read as
+a view of hop rows, and the kernel matrix is stored cut into hop-length
+pieces laid side by side plus a shorter tail. Shorter kernels sit inside
+longer ones, so each piece keeps only its prefix of bins with a row in
+it: the plan for clips past the longest kernel holds 15.2 MB, not 17.4.
+An octave is then one wide product of the hop rows with the pieces,
+summed along the diagonal of pieces, plus the tail rows' product with
+the tail; no frame's window is ever copied. The song is walked in time
+blocks of frames: a block decodes the one span its longest windows read
+straight into one array, reflects with ``np.pad`` only the samples past
+an end of the song, and runs each octave's product over it as one job on
+the module's one thread pool. The pool is made on first use with one
+worker per available CPU and lives until ``shutdown_cqt_pool``, which
+training calls before it forks. So decoding and transforming hold a
+block's samples, not the song's, and the output's bytes do not depend on
+the worker count. Kernels depend on the clip length only below the
+longest kernel (~1.04 s), so one plan serves every longer clip.
 
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
@@ -314,7 +319,7 @@ N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
 # Frames per time block of ``cqt``, and so per job of each octave. A job
 # multiplies _CQT_BLOCK + full - 1 hop rows by the pieces, so it recomputes
 # the full - 1 rows it shares with the next block (4% at octave 0, where
-# full is 11); its largest product is about 266 * 528 * 8 bytes (1.1 MB)
+# full is 11); its largest product is about 266 * 436 * 8 bytes (0.9 MB)
 # per worker. A block's decoded span is _CQT_BLOCK - 1 hops plus the
 # longest kernel: 545,251 samples, 4.4 MB of float64, at N_MAX.
 _CQT_BLOCK = 256
@@ -483,19 +488,22 @@ def cqt(clip):
     HOP-sample rows, and frame t's window is rows t to t + full - 1
     followed by the first len(tail) samples of row t + full. One product
     ``rows @ pieces`` then gives every row times every piece; frame t
-    sums row t + p's product with piece p over p, and adds its tail row
-    times ``tail``. A bin's magnitude is the hypot of its real and
+    starts from its tail row times ``tail`` and adds row t + p's product
+    with piece p, over p in order, to the bins piece p keeps
+    (``_octave_plan``). A bin's magnitude is the hypot of its real and
     imaginary columns.
 
     The song is walked in time blocks of _CQT_BLOCK frames. A block
     decodes once the span octave 0's windows cover, which holds every
     other octave's windows, reflected only where it crosses an end of the
-    clip (``_span``), and submits one job per octave to a thread pool
-    with a worker per available CPU; numpy's products release the GIL, so
-    jobs run at once. A block's jobs run while the next block decodes,
-    so at most two spans are held. Every job does the same arithmetic
-    whichever worker runs it, and the blocks depend on the frame count
-    only, so the output's bytes do not depend on the number of workers.
+    clip (``_span``), and submits one job per octave to the module's one
+    thread pool (``_cqt_pool``), made on first use with a worker per
+    available CPU and kept from call to call until ``shutdown_cqt_pool``;
+    numpy's products release the GIL, so jobs run at once. A block's jobs
+    run while the next block decodes, so at most two spans are held. Every
+    job does the same arithmetic whichever worker runs it, and the blocks
+    depend on the frame count only, so the output's bytes do not depend on
+    the number of workers.
     """
     n = clip.n_samples
     if n < 1:
