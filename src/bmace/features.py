@@ -8,10 +8,9 @@ inference does not window, because the model's scan is linear in length
 and runs over a whole song in one pass.
 
 A clip keeps its samples as its source stores them: ``read_wav`` keeps
-the data chunk (PCM16, PCM24 or float32, plain or
-WAVE_FORMAT_EXTENSIBLE), and ``AudioClip.decode`` turns any range of it
-into float64 on request. So no whole-song float copy exists between the
-file and the features.
+the data chunk, in a stored format of the one table ``_FORMATS``, and
+``AudioClip.decode`` turns any range of it into float64 on request. So
+no whole-song float copy exists between the file and the features.
 
 The constant-Q transform is the time-domain kernel-matrix form (Brown &
 Puckette 1992): each octave's 24 kernels sit, zero-padded and centred,
@@ -27,12 +26,11 @@ the tail; no frame's window is ever copied. The song is walked in time
 blocks of frames: a block decodes the one span its longest windows read
 straight into one array, reflects with ``np.pad`` only the samples past
 an end of the song, and runs each octave's product over it as one job on
-the module's one thread pool. The pool is made on first use with one
-worker per available CPU and lives until ``shutdown_cqt_pool``, which
-training calls before it forks. So decoding and transforming hold a
-block's samples, not the song's, and the output's bytes do not depend on
-the worker count. Kernels depend on the clip length only below the
-longest kernel (~1.04 s), so one plan serves every longer clip.
+the module's one thread pool (``_cqt_pool``). So decoding and
+transforming hold a block's samples, not the song's, and the output's
+bytes do not depend on the worker count. Kernels depend on the clip
+length only below the longest kernel (~1.04 s), so one plan serves every
+longer clip.
 
 The module also synthesizes deterministic chord audio so the models can
 be trained and scored at desk scale without any external corpus: each
@@ -44,6 +42,7 @@ per-block and per-offset phasors.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -81,10 +80,18 @@ class UnsupportedRateError(ValueError):
     """Sample rate other than the canonical 22,050 Hz."""
 
 
-# WAVE_FORMAT_EXTENSIBLE's tag. Its SubFormat GUID is the plain format tag
-# (1 PCM, 3 IEEE float) in two little-endian bytes, then this fixed tail.
+# WAVE_FORMAT_EXTENSIBLE's tag. Its SubFormat GUID is a plain format tag
+# of _TAGS in two little-endian bytes, then this fixed tail.
 _EXTENSIBLE = 0xFFFE
 _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+_TAGS = {1: "PCM", 3: "float"}
+# Each (format tag, bits) read_wav accepts: the dtype of one stored value and the
+# divisor AudioClip.decode scales it by. PCM24's three bytes widen to int32 first.
+_FORMATS = {
+    (1, 16): (np.dtype("<i2"), 32767.0),
+    (1, 24): (np.dtype(("u1", 3)), 8388607.0),
+    (3, 32): (np.dtype("<f4"), 1.0),
+}
 
 
 class AudioClip:
@@ -92,28 +99,26 @@ class AudioClip:
 
     The source is either a 1-D float array, of which ``AudioClip(samples)``
     keeps a read-only copy, or a WAV file's data chunk as ``read_wav``
-    finds it: PCM16, PCM24 or float32, one row per sample and one column
-    per channel (PCM24 adds an axis of each value's three bytes).
-    ``decode`` turns a range of the source into float64 samples, so a clip
-    read from a file never holds a float copy of the song.
+    views it (``_FORMATS``): one row per sample and one column per channel
+    (PCM24 adds an axis of each value's three bytes). Every sample is
+    finite. ``decode`` turns a range of the source into float64 samples,
+    so a clip read from a file never holds a float copy of the song.
     """
 
     def __init__(self, samples):
         arr = np.array(samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        # NaN propagates through min and max, so no full-size temporary is needed.
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        if _first_nonfinite(arr) is not None:
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
         self._source = arr
 
     @classmethod
-    def _of_chunk(cls, frames):
-        # Internal: a (samples, channels) PCM16 or float32, or a (samples, channels, 3)
-        # PCM24, view of a data chunk.
+    def _of_chunk(cls, frames, divisor):
+        # Internal: a data chunk's view and divisor, as ``_FORMATS`` gives them.
         clip = object.__new__(cls)
-        clip._source = frames
+        clip._source, clip._divisor = frames, divisor
         return clip
 
     @property
@@ -141,11 +146,11 @@ class AudioClip:
 
         A float array's samples come as they are, as a view, or copied into
         ``out`` when given. A data chunk's come by one rule, whatever the
-        range: PCM16 divided by 32767.0, PCM24 by 8388607.0, or float32
-        widened, channels averaged, clipped to [-1, 1], written into ``out``
-        (a float64 vector of ``stop - start`` samples) when given. Each
-        sample depends on its own row only, so a range decodes to the same
-        bytes as the same samples of a whole-clip decode.
+        format and range: divided by its ``_FORMATS`` divisor into float64,
+        channels averaged, clipped to [-1, 1], written into ``out`` (a
+        float64 vector of ``stop - start`` samples) when given. Each sample
+        depends on its own row only, so a range decodes to the same bytes as
+        the same samples of a whole-clip decode.
         """
         raw = self._source[start:stop]
         if raw.ndim == 1:
@@ -155,16 +160,13 @@ class AudioClip:
             return out
         if out is None:
             out = np.empty(len(raw))
-        # Mono widens straight into ``out``; more channels widen first, then average.
-        wide = out[:, None] if raw.shape[1] == 1 else np.empty(raw.shape[:2])
         if raw.ndim == 3:  # PCM24: three little-endian bytes, the last one signed
             word = np.zeros(raw.shape[:2] + (4,), np.uint8)
             word[..., 1:] = raw
-            np.divide(word.view("<i4")[..., 0] >> 8, 8388607.0, out=wide)
-        elif raw.dtype.kind == "i":
-            np.divide(raw, 32767.0, out=wide)
-        else:
-            wide[...] = raw
+            raw = word.view("<i4")[..., 0] >> 8
+        # Mono divides straight into ``out``; more channels divide first, then average.
+        wide = out[:, None] if raw.shape[1] == 1 else np.empty(raw.shape)
+        np.divide(raw, self._divisor, out=wide)
         if raw.shape[1] > 1:
             wide.mean(axis=1, out=out)
         return np.clip(out, -1.0, 1.0, out=out)
@@ -220,15 +222,15 @@ class NormStats:
 
 
 def read_wav(path):
-    """Read a RIFF/WAVE file: PCM16, PCM24 or float32, any channel count.
+    """Read a RIFF/WAVE file in a stored format of ``_FORMATS``, any channel count.
 
     The format tag is 1 (PCM), 3 (IEEE float) or WAVE_FORMAT_EXTENSIBLE
     with the PCM or IEEE float SubFormat GUID. Rates other than 22,050 Hz
     are rejected; resampling is out of scope. The clip keeps the data
-    chunk's samples as the file stores them and decodes them on request
+    chunk's values as the file stores them and decodes them on request
     (``AudioClip.decode``), so reading holds the file's bytes and no float
-    copy. A float32 file is decoded once, a block at a time, to reject a
-    sample that does not decode to a finite value.
+    copy. A float32 file's stored values are checked a block at a time:
+    NaN or +-inf in any channel is rejected at the byte offset of its row.
     """
     data = memoryview(Path(path).read_bytes())  # chunk bodies are views, not copies
     if len(data) < 12:
@@ -267,40 +269,41 @@ def read_wav(path):
             raise WavFormatError("extensible fmt chunk too short", fmt_pos)
         guid = bytes(fmt_body[24:40])
         audio_format = int.from_bytes(guid[:2], "little")
-        if guid[2:] != _GUID_TAIL or audio_format not in (1, 3):
+        if guid[2:] != _GUID_TAIL or audio_format not in _TAGS:
             raise WavFormatError(f"unsupported extensible SubFormat {guid.hex()}", fmt_pos + 32)
     if n_channels < 1:
         raise WavFormatError("zero channels", fmt_pos)
-    if audio_format == 1 and bits not in (16, 24):
-        raise WavFormatError(f"unsupported PCM depth {bits}", fmt_pos)
-    if audio_format == 3 and bits != 32:
-        raise WavFormatError(f"unsupported float depth {bits}", fmt_pos)
-    if audio_format not in (1, 3):
+    if audio_format not in _TAGS:
         raise WavFormatError(f"unsupported audio format {audio_format}", fmt_pos)
-    if rate != SAMPLE_RATE:  # checked before the float32 pass reads any sample
+    if (audio_format, bits) not in _FORMATS:
+        raise WavFormatError(f"unsupported {_TAGS[audio_format]} depth {bits}", fmt_pos)
+    if rate != SAMPLE_RATE:  # checked before the finiteness pass reads any sample
         raise UnsupportedRateError(f"sample rate {rate} unsupported, expected {SAMPLE_RATE}")
 
-    row_bytes = bits // 8 * n_channels
+    dtype, divisor = _FORMATS[audio_format, bits]
+    row_bytes = dtype.itemsize * n_channels
     count = len(body) // row_bytes
-    if bits == 24:  # no numpy dtype: keep each value's three bytes
-        frames = np.frombuffer(body, np.uint8, count * row_bytes).reshape(count, n_channels, 3)
-    else:
-        frames = np.frombuffer(body, dtype="<i2" if audio_format == 1 else "<f4",
-                               count=count * n_channels).reshape(count, n_channels)
-    clip = AudioClip._of_chunk(frames)
-    if audio_format == 3:  # PCM always decodes to a finite value
-        step = _CQT_BLOCK * HOP
-        for start in range(0, count, step):
-            bad = np.flatnonzero(~np.isfinite(clip.decode(start, start + step)))
-            if bad.size:
-                offset = data_pos + 8 + (start + int(bad[0])) * row_bytes
-                raise WavFormatError("sample does not decode to a finite value", offset)
-    return clip
+    frames = np.frombuffer(body, dtype, count * n_channels).reshape(count, n_channels, *dtype.shape)
+    # PCM values are always finite; float32 ones are checked as stored.
+    if frames.dtype.kind == "f" and (bad := _first_nonfinite(frames)) is not None:
+        raise WavFormatError("sample does not decode to a finite value",
+                             data_pos + 8 + bad * row_bytes)
+    return AudioClip._of_chunk(frames, divisor)
+
+
+def _first_nonfinite(rows):
+    """Index of the first row of ``rows`` holding NaN or +-inf, else None; a block at a time."""
+    for start in range(0, len(rows), _CQT_BLOCK * HOP):
+        finite = np.isfinite(rows[start:start + _CQT_BLOCK * HOP])
+        if not finite.all():
+            return start + int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+    return None
 
 
 def write_wav(path, clip):
-    """Write a clip as mono PCM16."""
-    q = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
+    """Write a clip as mono PCM16, quantized by the format's ``_FORMATS`` divisor."""
+    dtype, divisor = _FORMATS[1, 16]
+    q = np.clip(np.round(clip.samples * divisor), -32768, 32767).astype(dtype)
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
@@ -324,7 +327,6 @@ N_MAX = math.ceil(_Q * SAMPLE_RATE / FMIN)
 # longest kernel: 545,251 samples, 4.4 MB of float64, at N_MAX.
 _CQT_BLOCK = 256
 
-_PLAN_CACHE = {}
 # ``cqt``'s one thread pool (``_cqt_pool``), and the lock that makes it once.
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -388,32 +390,30 @@ def _cqt_plan(n_samples):
     """Per-octave kernel pieces (``_octave_plan``), octave 0's the longest.
 
     Kernels are clamped to the clip length only below N_MAX, so only the
-    N_MAX plan, which serves every longer clip, is cached. Octaves are
-    built one at a time: building holds little more than the plan.
+    N_MAX plan, which serves every longer clip, is kept (``_long_plan``).
+    Octaves are built one at a time: building holds little more than it.
     """
-    key = min(n_samples, N_MAX)
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        return plan
-    plan = [_octave_plan(lo, key) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
-    if key == N_MAX:
-        _PLAN_CACHE[key] = plan
-    return plan
+    if n_samples >= N_MAX:
+        return _long_plan()
+    return [_octave_plan(lo, n_samples) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
+
+
+@functools.cache
+def _long_plan():
+    return [_octave_plan(lo, N_MAX) for lo in range(0, N_BINS, BINS_PER_OCTAVE)]
 
 
 def _span(clip, start, stop):
     """Samples ``start`` to ``stop - 1`` of the clip, reflected about its ends.
 
     An index outside [0, n) reads the sample ``np.pad(..., mode="reflect")``
-    puts there; the span holds at least one sample of the clip. The clip's
-    samples are decoded once, straight into the span, and ``np.pad``
-    reflects the span's own samples beside each end into the part past it.
+    puts there; the span holds at least one sample of the clip. Its clip
+    samples are decoded once, straight into a new array, and ``np.pad``
+    reflects the span's own samples beside each end into any part past it.
     Only where the span holds too few of them to reflect, as for a clip
     shorter than its pad, is the whole clip decoded and padded.
     """
     n = clip.n_samples
-    if 0 <= start and stop <= n:
-        return clip.decode(start, stop)
     lo, hi = max(start, 0), min(stop, n)
     lead, trail = lo - start, stop - hi
     if max(lead, trail) >= hi - lo:

@@ -210,51 +210,6 @@ class TestTrainCommand:
         assert code == cli.EXIT_USAGE
         assert "song1.wav" in err
 
-    def test_per_song_timings_go_to_stderr_only(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        make_audio_corpus(audio, 3, seed=6)
-        ckpt = untrained_checkpoint(tmp_path / "model")
-        reports = []
-        for run in range(2):
-            report = tmp_path / f"report{run}.json"
-            code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
-                                     "--audio", str(audio), "--out", str(report))
-            assert code == cli.EXIT_OK
-            lines = err.splitlines()
-            assert [line.split(":")[0] for line in lines] == ["song0", "song1", "song2"]
-            for line in lines:
-                assert re.fullmatch(r"song\d: 2\.00 s of audio, CQT \d+\.\d{3} s, "
-                                    r"model \d+\.\d{3} s", line), line
-            assert report.read_text(encoding="utf-8") == out
-            reports.append(report.read_bytes())
-        assert reports[1] == reports[0]
-
-    def test_extensible_wavs_score_as_plain_ones(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        make_audio_corpus(audio, 2, seed=8)
-        ckpt = untrained_checkpoint(tmp_path / "model")
-        args = ["evaluate", "--model", str(ckpt), "--audio", str(audio)]
-        code, plain, _ = run_cli(capsys, *args)
-        assert code == cli.EXIT_OK
-        for wav in audio.glob("*.wav"):
-            rewrite_as_extensible(wav)
-        code, extensible, err = run_cli(capsys, *args)
-        assert code == cli.EXIT_OK, err
-        assert extensible == plain
-
-    def test_unknown_extensible_subformat_names_the_file(self, capsys, tmp_path):
-        audio = tmp_path / "audio"
-        make_audio_corpus(audio, 2)
-        rewrite_as_extensible(audio / "song0.wav", guid_code=2)
-        ckpt = untrained_checkpoint(tmp_path / "model")
-        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
-                                 "--audio", str(audio))
-        assert code == cli.EXIT_USAGE
-        assert out == ""
-        assert err.startswith(f"error: cannot read {audio / 'song0.wav'}: unsupported "
-                              "extensible SubFormat 0200")
-        assert err.endswith("(byte offset 44)\n")
-
     def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
         audio = tmp_path / "audio"
         make_audio_corpus(audio, 2)
@@ -479,6 +434,24 @@ class TestEvaluateCommand:
         assert err.startswith(f"error: cannot read {audio / 'song0.wav'}: unsupported "
                               "extensible SubFormat 0200")
         assert err.endswith("(byte offset 44)\n")
+
+    def test_infinite_float32_sample_names_the_file(self, capsys, tmp_path):
+        # Clipped to full scale, +inf would read as 1.0; the stored value is checked.
+        audio = tmp_path / "audio"
+        make_audio_corpus(audio, 2)
+        values = np.zeros(2 * ft.SAMPLE_RATE, dtype="<f4")
+        values[1000] = np.inf
+        fmt = struct.pack("<HHIIHH", 3, 1, ft.SAMPLE_RATE, 4 * ft.SAMPLE_RATE, 4, 32)
+        payload = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                   + b"data" + struct.pack("<I", values.nbytes) + values.tobytes())
+        (audio / "song0.wav").write_bytes(b"RIFF" + struct.pack("<I", len(payload)) + payload)
+        ckpt = untrained_checkpoint(tmp_path / "model")
+        code, out, err = run_cli(capsys, "evaluate", "--model", str(ckpt),
+                                 "--audio", str(audio))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {audio / 'song0.wav'}: ")
+        assert err.endswith(f"(byte offset {44 + 4 * 1000})\n")
 
     def test_empty_wav_is_a_usage_error(self, capsys, tmp_path):
         audio = tmp_path / "audio"

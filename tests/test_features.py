@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -183,13 +184,8 @@ class TestWavIO:
 
     def test_float32_payload(self, tmp_path):
         samples = np.array([0.0, 0.25, -0.5, 1.0], dtype="<f4")
-        body = samples.tobytes()
-        fmt = struct.pack("<HHIIHH", 3, 1, SR, SR * 4, 4, 32)
-        payload = (b"WAVE"
-                   + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-                   + b"data" + struct.pack("<I", len(body)) + body)
         path = tmp_path / "float.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(payload)) + payload)
+        path.write_bytes(riff(plain_fmt(3, 1), samples.tobytes()))
         clip = read_wav(path)
         assert np.allclose(clip.samples, [0.0, 0.25, -0.5, 1.0], atol=1e-7)
 
@@ -244,6 +240,29 @@ class TestWavIO:
             read_wav(path)
         assert err.value.offset == 12 + 8 + 16 + 8 + 2 * 8
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_mono_float_sample_names_its_offset(self, tmp_path, bad):
+        # Past full scale, an infinite sample would decode, clipped, to +-1.
+        values = np.zeros(2 * BLOCK, dtype="<f4")
+        values[BLOCK + 3] = bad  # in the second block the check reads
+        path = tmp_path / "inf.wav"
+        path.write_bytes(riff(plain_fmt(3, 1), values.tobytes()))
+        with pytest.raises(WavFormatError, match="finite") as err:
+            read_wav(path)
+        assert err.value.offset == 12 + 8 + 16 + 8 + (BLOCK + 3) * 4
+
+    def test_opposite_infinite_stereo_row_warns_nothing(self, tmp_path):
+        # The channel mean of +inf and -inf is NaN, and numpy warns as it makes it.
+        values = np.zeros(8, dtype="<f4")
+        values[2:4] = [np.inf, -np.inf]  # stereo row 1
+        path = tmp_path / "inf.wav"
+        path.write_bytes(riff(plain_fmt(3, 2), values.tobytes()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavFormatError, match="finite") as err:
+                read_wav(path)
+        assert err.value.offset == 12 + 8 + 16 + 8 + 1 * 8
+
     def test_audio_clip_validates(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros((2, 2)))
@@ -261,13 +280,8 @@ class TestWavIO:
     def test_float32_decode_bytes_match_reference(self, tmp_path, channels):
         values = np.random.default_rng(31).uniform(-1.5, 1.5, 4 * channels).astype("<f4")
         values[:2] = [1.0, -1.25]  # a full-scale sample and one that is clipped
-        body = values.tobytes()
-        fmt = struct.pack("<HHIIHH", 3, channels, SR, SR * 4 * channels, 4 * channels, 32)
-        payload = (b"WAVE"
-                   + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-                   + b"data" + struct.pack("<I", len(body)) + body)
         path = tmp_path / "float.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(payload)) + payload)
+        path.write_bytes(riff(plain_fmt(3, channels), values.tobytes()))
         ref = values.astype(np.float64)
         if channels > 1:
             ref = ref.reshape(-1, channels).mean(axis=1)
@@ -496,8 +510,8 @@ class TestCqt:
         clip = AudioClip(np.random.default_rng(samples).uniform(-0.5, 0.5, samples))
         assert max_rel_diff(cqt(clip).values, cqt_per_bin(clip)) <= 1e-9
 
-    def test_plan_build_holds_little_more_than_the_plan(self, monkeypatch):
-        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+    def test_plan_build_holds_little_more_than_the_plan(self):
+        ft._long_plan.cache_clear()
         tracemalloc.start()
         try:
             octaves = ft._cqt_plan(ft.N_MAX)
@@ -553,14 +567,14 @@ class TestCqt:
         assert ft._cqt_pool()._max_workers == (ft.os.cpu_count() or 1)
         assert np.array_equal(cqt(clip).values, expected)
 
-    def test_concurrent_calls_match_sequential(self, monkeypatch, swap_pool):
+    def test_concurrent_calls_match_sequential(self, swap_pool):
         # Two callers share the plan cache and the one pool, which has more
         # workers than there are cores, switching threads as often as the
         # interpreter can.
         rng = np.random.default_rng(22)
         clips = [AudioClip(rng.uniform(-0.5, 0.5, n)) for n in (600 * ft.HOP, 400 * ft.HOP + 77)]
         expected = [cqt(clip).values for clip in clips]
-        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        ft._long_plan.cache_clear()
         swap_pool(ThreadPoolExecutor(max_workers=(ft.os.cpu_count() or 1) + 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -584,19 +598,20 @@ class TestCqt:
         assert np.array_equal(cqt(clip).values, expected)
         assert ft._POOL is not None and ft._POOL is not pool
 
-    def test_one_plan_for_every_long_clip(self, monkeypatch):
+    def test_one_plan_for_every_long_clip(self):
         assert ft.N_MAX == 23011
         assert ft._cqt_plan(30_000) is ft._cqt_plan(900_000)
-        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        ft._long_plan.cache_clear()
         rng = np.random.default_rng(9)
         for k in range(20):
             cqt(AudioClip(rng.uniform(-0.5, 0.5, ft.N_MAX + 1 + 997 * k)))
-        assert len(ft._PLAN_CACHE) == 1
+        assert ft._long_plan.cache_info().currsize == 1
+        assert ft._long_plan.cache_info().misses == 1  # built once, for the first clip
 
-    def test_short_clip_plans_are_not_kept(self, monkeypatch):
+    def test_short_clip_plans_are_not_kept(self):
         # Each short-clip plan serves one length only; caching them held
         # about 16 MB per distinct length.
-        monkeypatch.setattr(ft, "_PLAN_CACHE", {})
+        ft._long_plan.cache_clear()
         lengths = [16_000 + 797 * k for k in range(8)]
         rng = np.random.default_rng(12)
         clips = [AudioClip(rng.uniform(-0.5, 0.5, n)) for n in lengths]
@@ -607,7 +622,7 @@ class TestCqt:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ft._PLAN_CACHE == {}
+        assert ft._long_plan.cache_info().currsize == 0
         octaves = ft._cqt_plan(max(lengths))
         assert held <= sum(pieces.nbytes + tail.nbytes for pieces, tail, *_ in octaves)
 
