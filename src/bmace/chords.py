@@ -42,13 +42,8 @@ _NATURALS = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 # Canonical output spelling uses sharps.
 PITCH_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
-# Quality order is load-bearing: it fixes class ids in the large
+# Key order is load-bearing: as QUALITIES it fixes class ids in the large
 # vocabulary and breaks ties in the largest-template reduction.
-QUALITIES = (
-    "maj", "min", "dim", "aug", "sus2", "sus4", "maj6", "min6",
-    "7", "maj7", "min7", "minmaj7", "dim7", "hdim7",
-)
-
 TEMPLATES = {
     "maj": frozenset({0, 4, 7}),
     "min": frozenset({0, 3, 7}),
@@ -65,6 +60,7 @@ TEMPLATES = {
     "dim7": frozenset({0, 3, 6, 9}),
     "hdim7": frozenset({0, 3, 6, 10}),
 }
+QUALITIES = tuple(TEMPLATES)
 
 # Extended shorthands parse to their full pitch-class sets; they reduce
 # to a canonical quality only when mapped into a vocabulary.

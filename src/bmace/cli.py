@@ -365,7 +365,7 @@ def build_parser():
     p = sub.add_parser("flops", help="print exact forward FLOPs for a length")
     p.add_argument("--variant", required=True, choices=md.VARIANTS)
     p.add_argument("--vocab", default="majmin", choices=sorted(chords.VOCABS))
-    p.add_argument("--frames", type=int, default=108)
+    p.add_argument("--frames", type=int, default=ft.WINDOW_FRAMES)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")

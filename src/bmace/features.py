@@ -286,7 +286,7 @@ def read_wav(path):
     frames = np.frombuffer(body, dtype, count * n_channels).reshape(count, n_channels, *dtype.shape)
     # PCM values are always finite; float32 ones are checked as stored.
     if frames.dtype.kind == "f" and (bad := _first_nonfinite(frames)) is not None:
-        raise WavFormatError("sample does not decode to a finite value",
+        raise WavFormatError("sample is not finite",
                              data_pos + 8 + bad * row_bytes)
     return AudioClip._of_chunk(frames, divisor)
 

@@ -11,12 +11,15 @@ segment scores MATCH, MISMATCH, or SKIPPED; a comparator's recall is
 matched duration over non-skipped duration, both summed over the
 segments in time order.
 
-Each distinct label is reduced once per process (a bounded cache) to a
-reference code and an estimate code per comparator, all ints. Under the
-first six comparators a segment is skipped when the reference code is
-the skip code and matches when the two codes are equal. MIREX codes are
-pitch-class bitmasks, and a segment matches when the two share at least
-three bits.
+Each distinct label is reduced (a bounded cache) to a reference code
+and an estimate code per comparator, ints computed from the label alone
+(``_codes``). Under root, thirds, triads, sevenths and tetrads a chord
+codes as root * 4096 plus a 12-bit mask of what that comparator reads,
+and no-chord and an unreadable estimate as 12 * 4096 and 13 * 4096;
+majmin codes the 25-class id and MIREX the pitch-class bitmask. A
+segment is skipped when its reference code is ``chords.SKIP``. One
+match rule, ``_hits``, grades the rest: the two codes are equal, except
+under MIREX, where the two masks share at least three bits.
 
 Reference labels that cannot be read (unknown, or an interval set no
 template fits) are skipped by every comparator. Estimated labels never
@@ -59,19 +62,14 @@ _SEVENTH_CLASSES = frozenset(range(9)) | {10, 11}
 
 _SEVENTHS_DOMAIN = frozenset({"maj", "min", "7", "maj7", "min7"})
 
-# Equality keys of the two labels without a chord quality. Chord keys are
-# ints and tuples, so neither string equals any of them.
-_NO_CHORD_KEY = "N"
-_UNREADABLE_KEY = "X"
+# The first five comparators' codes of the two labels without a root: roots past B.
+_NO_CHORD_CODE = 12 * 4096
+_UNREADABLE_CODE = 13 * 4096
+_THIRDS = ("maj", "min", None)
 # No-chord's MIREX mask: three bits above the twelve pitch classes, so it
 # shares three tones with itself and none with any chord.
 _NO_CHORD_MASK = 0b111 << 12
 _MIREX_COLUMN = _COLUMNS[MIREX]
-# The reference code that skips a segment; every other code is at least 0.
-_SKIP = -1
-# Comparator keys numbered in the order first met. Each is built from a
-# root and one of fourteen templates, so there are a few hundred at most.
-_KEY_CODES = {}
 # _TONES[m] counts the set bits of a 15-bit mask m (numpy 1.24 has no
 # bitwise_count): each doubling appends every mask with one more high bit.
 _TONES = np.zeros(1, np.uint8)
@@ -79,43 +77,53 @@ for _ in range(15):
     _TONES = np.concatenate((_TONES, _TONES + 1))
 
 
-def _coded(ref, est):
-    """Comparator keys as one read-only (2, 7) int array: the reference row,
-    then the estimate row. None is _SKIP and the MIREX mask stays itself."""
-    codes = np.array([[_SKIP if key is None else _KEY_CODES.setdefault(key, len(_KEY_CODES))
-                       for key in keys[:_MIREX_COLUMN]] + [_SKIP if keys[-1] is None else keys[-1]]
-                      for keys in (ref, est)], np.int32)
-    codes.flags.writeable = False
-    return codes
+def _mask(pitch_classes):
+    return sum(1 << pc for pc in pitch_classes)
 
 
 # Bounded by distinct labels (a few hundred in any corpus), not by songs.
 @functools.lru_cache(maxsize=1024)
 def _codes(label):
-    """One label's codes: a (2, 7) array of its reference row, then its
-    estimate row, with one column per comparator.
+    """One label's codes: a read-only (2, 7) int32 array of its reference
+    row, then its estimate row, with one column per comparator.
 
     The quality is the large vocabulary's: the label's own, or its raw
-    interval set's largest template. A reference code of _SKIP skips the
-    segment; the last code of each side is the MIREX pitch-class mask.
+    interval set's largest template. Under root, thirds, triads, sevenths
+    and tetrads a chord's code is its root * 4096 plus a 12-bit mask: 0,
+    its third's index in ("maj", "min", None), or the template's
+    intervals that the comparator reads. No-chord codes 12 * 4096 and an
+    unreadable estimate 13 * 4096. Majmin codes the class id and MIREX the
+    pitch-class mask. A reference code of chords.SKIP skips the segment;
+    otherwise two codes match when equal, and two MIREX masks when they
+    share at least three tones (``_hits``).
     """
     majmin = chords.to_class(label, chords.MAJMIN_25)
-    if label.is_no_chord:
-        est = (_NO_CHORD_KEY,) * 5 + (majmin, _NO_CHORD_MASK)
-        return _coded(est, est)
-    mask = sum(1 << pc for pc in label.pitch_classes())
+    mask = _mask(label.pitch_classes())
     quality = chords.LARGE_170.quality_of(label)
-    if quality is None:
-        return _coded((None,) * 7, (_UNREADABLE_KEY,) * 5 + (majmin, mask))
-    root = label.root
-    template = chords.TEMPLATES[quality]
-    est = (root, (root, chords.third_quality(template)), (root, template & _TRIAD_CLASSES),
-           (root, template & _SEVENTH_CLASSES), (root, template), majmin, mask)
-    # As a reference, a chord outside the sevenths domain or without a
-    # third is skipped by that comparator.
-    ref = est[:3] + (est[3] if quality in _SEVENTHS_DOMAIN else None, est[4],
-                     None if majmin == chords.SKIP else majmin, mask)
-    return _coded(ref, est)
+    if label.is_no_chord:
+        ref = est = (_NO_CHORD_CODE,) * 5 + (majmin, _NO_CHORD_MASK)
+    elif quality is None:
+        ref = (chords.SKIP,) * 7
+        est = (_UNREADABLE_CODE,) * 5 + (majmin, mask)
+    else:
+        root = label.root * 4096
+        template = chords.TEMPLATES[quality]
+        est = (root, root + _THIRDS.index(chords.third_quality(template)),
+               root + _mask(template & _TRIAD_CLASSES), root + _mask(template & _SEVENTH_CLASSES),
+               root + _mask(template), majmin, mask)
+        # As a reference, a chord outside the sevenths domain is skipped there.
+        ref = est[:3] + (est[3] if quality in _SEVENTHS_DOMAIN else chords.SKIP,) + est[4:]
+    codes = np.array((ref, est), np.int32)
+    codes.flags.writeable = False
+    return codes
+
+
+def _hits(ref_codes, est_codes):
+    """The one match rule, over a code row or a (7, segments) block: equal
+    codes, except that MIREX masks must share at least three tones."""
+    hits = ref_codes == est_codes
+    hits[_MIREX_COLUMN] = _TONES[ref_codes[_MIREX_COLUMN] & est_codes[_MIREX_COLUMN]] >= 3
+    return hits
 
 
 def _column(kind):
@@ -128,13 +136,10 @@ def _column(kind):
 def compare(kind, ref, est):
     """Grade one (reference, estimate) label pair under a comparator."""
     column = _column(kind)
-    ref_code = _codes(ref)[0, column]
-    if ref_code == _SKIP:
+    ref_codes = _codes(ref)[0]
+    if ref_codes[column] == chords.SKIP:
         return SKIPPED
-    est_code = _codes(est)[1, column]
-    if column == _MIREX_COLUMN:
-        return MATCH if _TONES[ref_code & est_code] >= 3 else MISMATCH
-    return MATCH if ref_code == est_code else MISMATCH
+    return MATCH if _hits(ref_codes, _codes(est)[1])[column] else MISMATCH
 
 
 def _recalls(ref, est):
@@ -164,11 +169,8 @@ def _recalls(ref, est):
     codes = np.array([_codes(label) for label in ids]).T
     ref_codes = codes[:, 0, ref_ids[ref.indices_at(times)]]
     est_codes = codes[:, 1, est_ids[est.indices_at(times)]]
-    hits = ref_codes == est_codes
-    mirex = ref_codes[_MIREX_COLUMN] & est_codes[_MIREX_COLUMN]
-    hits[_MIREX_COLUMN] = _TONES[mirex] >= 3
-    graded = np.where(ref_codes != _SKIP, durations, 0.0)
-    matched = np.where(hits, graded, 0.0)
+    graded = np.where(ref_codes != chords.SKIP, durations, 0.0)
+    matched = np.where(_hits(ref_codes, est_codes), graded, 0.0)
     # In place: the running sums need no arrays beyond these two.
     matched = np.add.accumulate(matched, axis=1, out=matched)[:, -1].tolist()
     total = np.add.accumulate(graded, axis=1, out=graded)[:, -1].tolist()

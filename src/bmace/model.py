@@ -197,12 +197,6 @@ def forward(params: ModelParams, cfg: ModelConfig, x: Tensor,
     return add_bias(matmul(feats, params["head"]), params["head_bias"])
 
 
-def predict(params: ModelParams, cfg: ModelConfig, x: Tensor) -> np.ndarray:
-    """Per-frame argmax class ids (ties resolve to the smaller id)."""
-    logits = forward(params, cfg, x)
-    return np.argmax(logits.data, axis=1)
-
-
 # --------------------------------------------------------------------------
 # Accounting
 
@@ -274,7 +268,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams,
     meta = {"config": cfg.to_dict()}
     if extra_meta:
         meta.update(extra_meta)
-    named = ((name, t.data) for name, t in params.named_tensors())
+    named = ((name, t.data) for name, t in params.items())
     return tensorio.write_tensors(path, meta, named)
 
 

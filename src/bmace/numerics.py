@@ -324,7 +324,7 @@ def softplus(x: Tensor) -> Tensor:
     return out
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """Root-mean-square normalization with a learned per-channel gain.
 
     y[t] = x[t] / sqrt(mean_c(x[t,c]^2) + eps) * gain. Gain-only: no bias.

@@ -543,14 +543,15 @@ def overfit_segment(model_cfg, feats, targets, steps=500, train_cfg=None,
 
 
 def predict_classes(params, model_cfg, stats, feats):
-    """Framewise class ids for one clip's unnormalized log features.
+    """Framewise class ids for one clip's unnormalized log features: the
+    argmax of each frame's logits, ties resolving to the smaller id.
 
     The model runs once over the whole clip: its scan is linear in
     length, so inference needs no windows, and every frame is predicted
     with the context of the entire clip.
     """
     values = ft.znormalize(feats, stats).values
-    return md.predict(params, model_cfg, Tensor(values, dtype=STANDARD))
+    return np.argmax(md.forward(params, model_cfg, Tensor(values, dtype=STANDARD)).data, axis=1)
 
 
 def predict_annotation(params, model_cfg, stats, feats, vocab):

@@ -247,7 +247,7 @@ class TestWavIO:
         values[BLOCK + 3] = bad  # in the second block the check reads
         path = tmp_path / "inf.wav"
         path.write_bytes(riff(plain_fmt(3, 1), values.tobytes()))
-        with pytest.raises(WavFormatError, match="finite") as err:
+        with pytest.raises(WavFormatError, match="^sample is not finite") as err:
             read_wav(path)
         assert err.value.offset == 12 + 8 + 16 + 8 + (BLOCK + 3) * 4
 

@@ -292,6 +292,27 @@ class TestCompare:
                     if compare(stricter, ref, est) == MATCH:
                         assert compare(looser, ref, est) == MATCH
 
+    def test_codes_do_not_depend_on_the_labels_coded_before(self):
+        # Two fresh processes code the same labels in opposite orders.
+        script = (
+            "import sys\n"
+            "from bmace import chords, metrics\n"
+            "texts = [chords.class_to_label(k, chords.LARGE_170) for k in range(170)]\n"
+            "texts += ['N', 'X', 'C:(1,5)']\n"
+            "order = texts if sys.argv[1] == 'forward' else texts[::-1]\n"
+            "codes = {text: metrics._codes(chords.parse_chord(text)).tobytes() for text in order}\n"
+            "sys.stdout.buffer.write(b''.join(codes[text] for text in texts))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        outs = []
+        for order in ("forward", "backward"):
+            run = subprocess.run([sys.executable, "-c", script, order], capture_output=True,
+                                 env=env)
+            assert run.returncode == 0, run.stderr.decode()
+            outs.append(run.stdout)
+        assert len(outs[0]) == 173 * 2 * 7 * 4
+        assert outs[0] == outs[1]
+
 
 class TestWcsr:
     def test_perfect_estimate(self):

@@ -7,6 +7,7 @@ import pytest
 
 from bmace import numerics as nm
 from bmace.gradcheck import REL_TOLERANCE, check_gradients
+from bmace.mamba import RMSNORM_EPS
 
 
 def total(x):
@@ -362,7 +363,7 @@ class TestFiniteDifferenceSweep:
             probe = t64(rng.standard_normal((L, d)))
 
             def loss(ps):
-                return total(nm.mul(nm.rmsnorm(ps[0], ps[1]), probe))
+                return total(nm.mul(nm.rmsnorm(ps[0], ps[1], eps=RMSNORM_EPS), probe))
 
             assert check_gradients(loss, [x, gain]) <= REL_TOLERANCE
 

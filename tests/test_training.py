@@ -255,7 +255,7 @@ def dict_batch_step(named, m, v, t, model_cfg, segments, lr):
     for feats, targets in segments:
         tensors = {k: Tensor(a, dtype=STANDARD) for k, a in named.items()}
         with Tape() as tape:
-            logits = md.forward(md.params_from_dict(tensors), model_cfg,
+            logits = md.forward(md.ModelParams(tensors), model_cfg,
                                 Tensor(feats, dtype=STANDARD))
             loss = tr.cross_entropy(logits, targets)
         for k, g in zip(tensors, tape.gradients(loss, list(tensors.values()))):
@@ -291,7 +291,7 @@ class TestFlatStep:
         for workers in (0, 1):
             flat, state = tr._init_training(cfg)
             named = {name: t.data.copy()
-                     for name, t in md.init_model(cfg, dtype=STANDARD).named_tensors()}
+                     for name, t in md.init_model(cfg, dtype=STANDARD).items()}
             assert list(named) == list(md.tensor_shapes(cfg))
             m = {k: np.zeros_like(a) for k, a in named.items()}
             v = {k: np.zeros_like(a) for k, a in named.items()}
@@ -459,7 +459,7 @@ class TestTrainLoop:
         for record in result.history:
             assert math.isfinite(record["train_loss"])
             assert 0.0 <= record["val_accuracy"] <= 1.0
-        for _, tensor in result.params.named_tensors():
+        for _, tensor in result.params.items():
             assert np.all(np.isfinite(tensor.data))
 
     def test_two_runs_are_bit_identical(self):
@@ -472,8 +472,8 @@ class TestTrainLoop:
 
         a, b = run(), run()
         assert a.history == b.history
-        for (name_a, ta), (name_b, tb) in zip(a.params.named_tensors(),
-                                              b.params.named_tensors()):
+        for (name_a, ta), (name_b, tb) in zip(a.params.items(),
+                                              b.params.items()):
             assert name_a == name_b
             assert np.array_equal(ta.data, tb.data)
 
@@ -693,6 +693,16 @@ class TestOverfit:
 
 
 class TestPrediction:
+    def test_predict_shape_and_tie_break(self):
+        cfg = tiny_config(md.BMACE)
+        zeroed = md.ModelParams((name, Tensor(np.zeros_like(t.data)))
+                                for name, t in md.init_model(cfg, dtype=STANDARD).items())
+        feats = ft.FeatureMatrix(np.random.default_rng(24).normal(size=(10, 144)))
+        classes = tr.predict_classes(zeroed, cfg, ft.NormStats(0.0, 1.0), feats)
+        # All logits identical: ties resolve to the smallest class id.
+        assert classes.shape == (10,)
+        assert np.all(classes == 0)
+
     def test_predict_classes_covers_every_frame(self):
         example = tr.synth_clip_example(20, chords.MAJMIN_25, duration_s=15.0)
         stats = ft.compute_norm_stats([example.features])
